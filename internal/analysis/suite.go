@@ -20,6 +20,7 @@ const (
 	pkgExperiments  = "patch/internal/experiments"
 	pkgLitmus       = "patch/internal/litmus"
 	pkgFault        = "patch/internal/fault"
+	pkgToken        = "patch/internal/token"
 )
 
 // PatchSuite returns the analyzers configured for this repository's
@@ -36,6 +37,9 @@ func PatchSuite() []*Analyzer {
 					// Fault injection must be exactly as deterministic as
 					// the engine it perturbs.
 					pkgFault,
+					// The conservation checker picks which violation an
+					// audit reports.
+					pkgToken,
 				},
 				Files: map[string][]string{
 					// Of the root package, only the sweep engine feeds

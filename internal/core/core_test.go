@@ -56,9 +56,9 @@ func (c *cluster) checkConservation(t *testing.T) {
 	t.Helper()
 	var holders []token.Holder
 	for _, n := range c.nodes {
-		holders = append(holders, n.Cache(), n.Directory())
+		holders = append(holders, n.L2, n.Directory())
 	}
-	if err := token.CheckConservation(c.env.Tokens, holders, nil); err != nil {
+	if err := new(token.Conservation).Check(c.env.Tokens, holders...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -381,13 +381,13 @@ func TestEvictionStress(t *testing.T) {
 	var holders []token.Holder
 	dirty := uint64(0)
 	for _, n := range nodes {
-		holders = append(holders, n.Cache(), n.Directory())
+		holders = append(holders, n.L2, n.Directory())
 		dirty += n.St.WritebacksDirty + n.St.WritebacksClean
 	}
 	if dirty == 0 {
 		t.Fatal("stress produced no writebacks; test is not exercising evictions")
 	}
-	if err := token.CheckConservation(4, holders, nil); err != nil {
+	if err := new(token.Conservation).Check(4, holders...); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -9,38 +9,17 @@ import (
 	"patch/internal/token"
 )
 
-// homeTask defers a home-side message past the directory lookup
-// latency: the pooled-task replacement for the per-message closure,
-// holding the pool reference the closure used to capture.
-type homeTask struct {
-	n *Node
-	m *msg.Message
-}
-
-// Fire implements event.Task: the directory lookup completed.
-func (t *homeTask) Fire(now event.Time) {
-	n, m := t.n, t.m
-	t.m = nil
-	n.homeFree.Put(t)
-	defer n.Env.Net.Release(m)
+// homeLookup dispatches a delivered home-side message once the
+// directory lookup latency (Base.Defer) elapsed. Queued requests are
+// copied by value, so the pooled message is recycled the moment the
+// lookup completes.
+func (n *Node) homeLookup(now event.Time, m *msg.Message) {
 	switch m.Type {
 	case msg.GetS, msg.GetM:
 		n.homeReceive(now, m)
 	default:
 		n.homeTokens(now, m)
 	}
-}
-
-// homeDefer holds a reference to the delivered message across the
-// directory lookup latency, then dispatches it home-side. Queued
-// requests are copied by value inside the deferred step, so the pooled
-// message is recycled the moment the lookup completes.
-func (n *Node) homeDefer(m *msg.Message) {
-	n.Env.Net.Retain(m)
-	t := n.homeFree.Get()
-	t.n = n
-	t.m = m
-	n.Env.Eng.AfterTask(event.Time(n.dir.LookupLatency), t)
 }
 
 // homeReceive accepts indirect requests at the home (after the lookup

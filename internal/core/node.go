@@ -101,11 +101,10 @@ type Node struct {
 	// notifications match the right request generation.
 	seq uint64
 
-	// Free-lists: recycled MSHRs, deferred home-lookup tasks, and
-	// standalone tenure-timer tasks. Together with the pooled tasks in
-	// protocol.Base they make the steady-state miss path allocation-free.
+	// Free-lists: recycled MSHRs and standalone tenure-timer tasks.
+	// Together with the pooled tasks in protocol.Base they make the
+	// steady-state miss path allocation-free.
 	mshrFree protocol.FreeList[mshr]
-	homeFree protocol.FreeList[homeTask]
 	saFree   protocol.FreeList[saTimer]
 
 	// avoid is the victim filter passed to AllocateAvoid, built once so
@@ -125,6 +124,7 @@ func New(id msg.NodeID, env *protocol.Env, enc directory.Encoding, cfg Config) *
 		tenureTimers:      make(map[msg.Addr]event.Handle),
 	}
 	n.Self = n
+	n.Deferred = n.homeLookup
 	n.avoid = func(a msg.Addr) bool { _, busy := n.mshrs[a]; return busy }
 	n.dir.LookupLatency = env.DirLatency
 	n.dir.DRAMLatency = env.DRAMLatency
@@ -183,9 +183,6 @@ func (n *Node) Directory() *directory.Directory { return n.dir }
 
 // Predictor exposes the predictor (tests).
 func (n *Node) Predictor() *predictor.Predictor { return n.pred }
-
-// Cache exposes the L2 for token-conservation checks.
-func (n *Node) Cache() *cache.Cache { return n.L2 }
 
 // AppendMSHRDiags appends one record per outstanding miss, sorted by
 // address, for the simulator's failure diagnostics.
@@ -340,7 +337,7 @@ func (n *Node) returnTokensHome(line *cache.Line) {
 func (n *Node) Handle(now event.Time, m *msg.Message) {
 	switch m.Type {
 	case msg.GetS, msg.GetM, msg.PutM, msg.PutClean, msg.TokenReturn:
-		n.homeDefer(m)
+		n.Defer(event.Time(n.dir.LookupLatency), m)
 	case msg.Deactivate:
 		n.homeDeactivate(now, m)
 	case msg.Fwd:

@@ -23,15 +23,13 @@ import (
 	"sort"
 
 	"patch/internal/cache"
-	"patch/internal/core"
 	"patch/internal/directory"
 	"patch/internal/event"
 	"patch/internal/interconnect"
 	"patch/internal/msg"
 	"patch/internal/predictor"
 	"patch/internal/protocol"
-	"patch/internal/protocol/directoryproto"
-	"patch/internal/protocol/tokenb"
+	"patch/internal/sim"
 	"patch/internal/token"
 )
 
@@ -140,6 +138,16 @@ func (p Protocol) String() string {
 	return "Protocol(?)"
 }
 
+// variants maps each protocol variant onto the simulator configuration
+// whose nodes (sim.BuildNode) it runs.
+var variants = [NumProtocols]sim.Config{
+	Directory:           {Protocol: sim.Directory},
+	PATCHNone:           {Protocol: sim.PATCH, Policy: predictor.None, BestEffort: true},
+	PATCHAll:            {Protocol: sim.PATCH, Policy: predictor.All, BestEffort: true},
+	PATCHAllNonAdaptive: {Protocol: sim.PATCH, Policy: predictor.All},
+	TokenB:              {Protocol: sim.TokenB},
+}
+
 // Observation is the version a completed operation saw (for writes, the
 // version it produced).
 type Observation struct {
@@ -173,24 +181,12 @@ type Harness struct {
 	env   *protocol.Env
 	enc   directory.Encoding
 	nodes []protocol.Node
-	l2    []*cache.Cache
 
+	conservation  token.Conservation
 	lastPerformed []uint64 // version reported by the observer, per core
 	obs           []func(msg.Addr, bool, uint64)
 	used          bool
 	netCfg        interconnect.Config
-}
-
-// coreCfg returns the PATCH configuration for the harness's variant.
-func (p Protocol) coreCfg() core.Config {
-	switch p {
-	case PATCHNone:
-		return core.Config{Policy: predictor.None, BestEffort: true}
-	case PATCHAll:
-		return core.Config{Policy: predictor.All, BestEffort: true}
-	default: // PATCHAllNonAdaptive
-		return core.Config{Policy: predictor.All}
-	}
 }
 
 // NewHarness assembles a reusable system of the given size for one
@@ -204,70 +200,48 @@ func NewHarness(p Protocol, cores int) (*Harness, error) {
 // under fault injection (jittered, degraded, bursting links) and pin
 // that the axioms are timing-independent in fact, not just by design.
 func NewHarnessNet(p Protocol, cores int, net interconnect.Config) (*Harness, error) {
+	if p < 0 || p >= NumProtocols {
+		return nil, fmt.Errorf("litmus: unknown protocol %v", p)
+	}
 	h := &Harness{
 		p:             p,
 		cores:         cores,
 		eng:           &event.Engine{},
 		nodes:         make([]protocol.Node, cores),
-		l2:            make([]*cache.Cache, cores),
 		lastPerformed: make([]uint64, cores),
+		obs:           make([]func(msg.Addr, bool, uint64), cores),
 		enc:           directory.FullMap(cores),
 		netCfg:        net,
 	}
 	h.net = interconnect.New(h.eng, cores, h.netCfg)
 	h.env = protocol.DefaultEnv(h.eng, h.net, cores)
-	for i := 0; i < cores; i++ {
-		id := msg.NodeID(i)
-		switch p {
-		case Directory:
-			n := directoryproto.New(id, h.env, h.enc)
-			h.nodes[i], h.l2[i] = n, n.L2
-		case PATCHNone, PATCHAll, PATCHAllNonAdaptive:
-			n := core.New(id, h.env, h.enc, p.coreCfg())
-			h.nodes[i], h.l2[i] = n, n.L2
-		case TokenB:
-			n := tokenb.New(id, h.env)
-			h.nodes[i], h.l2[i] = n, n.L2
-		default:
-			return nil, fmt.Errorf("litmus: unknown protocol %v", p)
-		}
-		i := i
-		h.obs = append(h.obs, func(_ msg.Addr, _ bool, version uint64) { h.lastPerformed[i] = version })
-		h.attachObserver(i)
-		h.net.Register(id, h.nodes[i].Handle)
+	for i := range h.obs {
+		h.obs[i] = func(_ msg.Addr, _ bool, version uint64) { h.lastPerformed[i] = version }
+	}
+	if err := h.build(); err != nil {
+		return nil, err
 	}
 	return h, nil
 }
 
-// attachObserver installs core i's (once-built) observer closure.
-func (h *Harness) attachObserver(i int) {
-	switch n := h.nodes[i].(type) {
-	case *directoryproto.Node:
-		n.Observer = h.obs[i]
-	case *core.Node:
-		n.Observer = h.obs[i]
-	case *tokenb.Node:
-		n.Observer = h.obs[i]
-	}
-}
-
-// reset rewinds the reusable system between scripts, re-attaching the
-// observers ResetBase cleared.
-func (h *Harness) reset() {
-	h.eng.Reset()
-	h.net.Reset(h.netCfg)
-	for i, n := range h.nodes {
-		switch v := n.(type) {
-		case *directoryproto.Node:
-			v.Reset(h.enc)
-		case *core.Node:
-			v.Reset(h.enc, h.p.coreCfg())
-		case *tokenb.Node:
-			v.Reset()
+// build builds and registers the nodes, or rewinds the ones already
+// built, and attaches each core's (once-built) observer closure, which
+// ResetBase clears.
+func (h *Harness) build() error {
+	for i, old := range h.nodes {
+		id := msg.NodeID(i)
+		n, err := sim.BuildNode(old, id, h.env, h.enc, variants[h.p])
+		if err != nil {
+			return err
 		}
-		h.attachObserver(i)
+		if old == nil {
+			h.nodes[i] = n
+			h.net.Register(id, n.Handle)
+		}
+		n.Shared().Observer = h.obs[i]
 		h.lastPerformed[i] = 0
 	}
+	return nil
 }
 
 // Run executes the script under one protocol on a fresh system and
@@ -285,11 +259,15 @@ func Run(p Protocol, script Script, cores int) (*Outcome, error) {
 // first if a previous script ran on it.
 func (h *Harness) Run(script Script) (*Outcome, error) {
 	if h.used {
-		h.reset()
+		h.eng.Reset()
+		h.net.Reset(h.netCfg)
+		if err := h.build(); err != nil {
+			return nil, err
+		}
 	}
 	h.used = true
 	p, cores := h.p, h.cores
-	eng, nodes, l2 := h.eng, h.nodes, h.l2
+	eng, nodes := h.eng, h.nodes
 	lastPerformed := h.lastPerformed
 
 	// Split the script into per-core queues preserving program order.
@@ -329,32 +307,17 @@ func (h *Harness) Run(script Script) (*Outcome, error) {
 
 	// Collect final versions (max over all copies).
 	finals := make(map[msg.Addr]uint64)
-	for i := range nodes {
-		l2[i].ForEach(func(l *cache.Line) {
+	for _, n := range nodes {
+		n.Shared().L2.ForEach(func(l *cache.Line) {
 			if l.Version > finals[l.Addr] {
 				finals[l.Addr] = l.Version
 			}
 		})
-		switch n := nodes[i].(type) {
-		case *directoryproto.Node:
-			n.Directory().ForEach(func(e *directory.Entry) {
-				if e.MemVersion > finals[e.Addr] {
-					finals[e.Addr] = e.MemVersion
-				}
-			})
-		case *core.Node:
-			n.Directory().ForEach(func(e *directory.Entry) {
-				if e.MemVersion > finals[e.Addr] {
-					finals[e.Addr] = e.MemVersion
-				}
-			})
-		case *tokenb.Node:
-			n.Memory().ForEach(func(e *directory.Entry) {
-				if e.MemVersion > finals[e.Addr] {
-					finals[e.Addr] = e.MemVersion
-				}
-			})
-		}
+		n.Directory().ForEach(func(e *directory.Entry) {
+			if e.MemVersion > finals[e.Addr] {
+				finals[e.Addr] = e.MemVersion
+			}
+		})
 	}
 	for b := 0; b < maxBlock(script)+1; b++ {
 		out.FinalVersions[b] = finals[blockAddr(b)]
@@ -363,8 +326,10 @@ func (h *Harness) Run(script Script) (*Outcome, error) {
 	if err := verifyAxioms(p, script, out); err != nil {
 		return nil, err
 	}
-	if err := verifyTokens(p, nodes, h.env); err != nil {
-		return nil, err
+	// Rule #1 at quiescence; the directory protocol holds no tokens, so
+	// it passes trivially.
+	if err := h.conservation.Check(h.env.Tokens, protocol.Nodes(nodes)); err != nil {
+		return nil, fmt.Errorf("litmus: %v: %w", p, err)
 	}
 	return out, nil
 }
@@ -433,23 +398,6 @@ func verifyAxioms(p Protocol, script Script, out *Outcome) error {
 		}
 	}
 	return nil
-}
-
-// verifyTokens runs the conservation check for token protocols.
-func verifyTokens(p Protocol, nodes []protocol.Node, env *protocol.Env) error {
-	var holders []token.Holder
-	for _, n := range nodes {
-		switch v := n.(type) {
-		case *core.Node:
-			holders = append(holders, v.Cache(), v.Directory())
-		case *tokenb.Node:
-			holders = append(holders, v.L2, v.Memory())
-		}
-	}
-	if holders == nil {
-		return nil
-	}
-	return token.CheckConservation(env.Tokens, holders, nil)
 }
 
 // Suite holds one reusable harness per protocol variant, so a sequence

@@ -8,38 +8,11 @@ import (
 	"patch/internal/msg"
 )
 
-// homeTask defers a home-side message past the directory lookup
-// latency: the pooled-task replacement for the per-message closure,
-// holding the pool reference the closure used to capture.
-type homeTask struct {
-	n *Node
-	m *msg.Message
-}
-
-// Fire implements event.Task: the directory lookup completed.
-func (t *homeTask) Fire(now event.Time) {
-	n, m := t.n, t.m
-	t.m = nil
-	n.homeFree.Put(t)
-	defer n.Env.Net.Release(m)
-	n.homeReceive(now, m)
-}
-
-// homeDefer holds a reference to the delivered message across the
-// directory lookup latency, then processes it home-side. Requests that
-// must wait in an entry queue are copied by value inside the deferred
-// step, so the pooled message is recycled the moment the lookup
-// completes.
-func (n *Node) homeDefer(m *msg.Message) {
-	n.Env.Net.Retain(m)
-	t := n.homeFree.Get()
-	t.n = n
-	t.m = m
-	n.Env.Eng.AfterTask(event.Time(n.dir.LookupLatency), t)
-}
-
-// homeReceive accepts requests and writebacks at the home node (after
-// the lookup delay), applying the per-block blocking discipline.
+// homeReceive accepts requests and writebacks at the home node after
+// the directory lookup latency (Base.Defer), applying the per-block
+// blocking discipline. Requests that must wait in an entry queue are
+// copied by value, so the pooled message is recycled the moment the
+// lookup completes.
 func (n *Node) homeReceive(now event.Time, m *msg.Message) {
 	e := n.dir.Entry(m.Addr)
 	switch m.Type {

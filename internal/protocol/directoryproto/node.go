@@ -62,11 +62,9 @@ type Node struct {
 	// rather than a Go map.
 	wb addrmap.Map[wbEntry]
 
-	// mshrFree and homeFree recycle MSHRs and deferred home-lookup
-	// tasks; together with the pooled tasks in protocol.Base they make
-	// the steady-state miss path allocation-free.
+	// mshrFree recycles MSHRs; together with the pooled tasks in
+	// protocol.Base it makes the steady-state miss path allocation-free.
 	mshrFree protocol.FreeList[mshr]
-	homeFree protocol.FreeList[homeTask]
 
 	// avoid is the victim filter passed to AllocateAvoid, built once so
 	// the per-miss line installation does not allocate a closure.
@@ -81,6 +79,7 @@ func New(id msg.NodeID, env *protocol.Env, enc directory.Encoding) *Node {
 		mshrs: make(map[msg.Addr]*mshr),
 	}
 	n.Self = n
+	n.Deferred = n.homeReceive
 	n.avoid = func(a msg.Addr) bool { _, busy := n.mshrs[a]; return busy }
 	n.dir.LookupLatency = env.DirLatency
 	n.dir.DRAMLatency = env.DRAMLatency
@@ -224,7 +223,7 @@ func (n *Node) sufficient(l *cache.Line, isWrite bool) bool {
 func (n *Node) Handle(now event.Time, m *msg.Message) {
 	switch m.Type {
 	case msg.GetS, msg.GetM, msg.Upg, msg.PutM, msg.PutClean:
-		n.homeDefer(m)
+		n.Defer(event.Time(n.dir.LookupLatency), m)
 	case msg.Deactivate:
 		n.homeDeactivate(now, m)
 	case msg.Fwd:

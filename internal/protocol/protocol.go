@@ -7,13 +7,17 @@ package protocol
 
 import (
 	"patch/internal/cache"
+	"patch/internal/directory"
 	"patch/internal/event"
 	"patch/internal/interconnect"
 	"patch/internal/msg"
 )
 
 // Node is one core's coherence controller (cache side plus the home
-// directory slice for the addresses interleaved to it).
+// directory slice for the addresses interleaved to it). It is the whole
+// contract the simulator and the litmus harness drive a protocol
+// through: a new protocol implements it and never needs a type switch
+// elsewhere.
 type Node interface {
 	// Access performs a memory operation. done is invoked (possibly
 	// immediately, possibly cycles later) when the core may proceed.
@@ -25,6 +29,39 @@ type Node interface {
 	// Quiesced reports whether the node has no outstanding protocol work
 	// (used by liveness checking at end of simulation).
 	Quiesced() bool
+
+	// Shared returns the state every node shares (caches, statistics,
+	// observer, parked messages). Base provides it.
+	Shared() *Base
+
+	// Directory returns the node's home slice: the directory entries and
+	// home token holdings for the blocks interleaved to it.
+	Directory() *directory.Directory
+
+	// AppendMSHRDiags appends one record per outstanding miss, sorted by
+	// address, for the simulator's failure diagnostics.
+	AppendMSHRDiags(dst []MSHRDiag) []MSHRDiag
+}
+
+// Nodes is a token.Holder over a system's nodes: every token held in
+// an L2 line, a home slice, or a message parked at a node (a delayed
+// send, whose tokens have left their holder but not reached the wire,
+// or a delivered message waiting out the home lookup, whose tokens have
+// left the wire but not reached the home).
+type Nodes []Node
+
+// TokenHoldings implements token.Holder.
+func (ns Nodes) TokenHoldings(fn func(addr msg.Addr, count int, owner bool)) {
+	for _, n := range ns {
+		b := n.Shared()
+		b.L2.TokenHoldings(fn)
+		n.Directory().TokenHoldings(fn)
+		for _, t := range b.parked {
+			if m := t.m; m.Tokens != 0 || m.Owner {
+				fn(m.Addr, m.Tokens, m.Owner)
+			}
+		}
+	}
 }
 
 // MSHRDiag describes one outstanding miss for liveness forensics. The
@@ -114,6 +151,10 @@ type Base struct {
 	// allocating a method-value closure.
 	Self Node
 
+	// Deferred handles a message held by Defer once its delay elapses.
+	// Nodes that Defer set it once at construction.
+	Deferred func(now event.Time, m *msg.Message)
+
 	// Observer, when set, is invoked at the instant each memory operation
 	// is performed, with the block's write version at that point (the
 	// version a load observed, or the version a store produced). Checkers
@@ -134,19 +175,23 @@ type Base struct {
 	// next use.
 	Scratch []msg.NodeID
 
-	// replayFree and sendFree pool the node's deferred-work tasks so
-	// steady-state waiter replays and delayed sends allocate nothing.
+	// replayFree and parkFree pool the node's deferred-work tasks so
+	// steady-state waiter replays, delayed sends and home lookups
+	// allocate nothing.
 	replayFree FreeList[replayTask]
-	sendFree   FreeList[sendTask]
+	parkFree   FreeList[parkTask]
 
-	// pending tracks the node's outstanding delayed sends. Token-carrying
-	// home responses deduct tokens from the holder when the message is
-	// built, then sit in a sendTask for the directory/DRAM latency —
-	// during that window the tokens are visible neither to any holder nor
-	// to the network auditor. Mid-run conservation audits iterate this
-	// list to account for them (see PendingSends).
-	pending []*sendTask
+	// parked tracks the messages the node holds across a latency:
+	// delayed sends (SendAfter) and delivered messages waiting out the
+	// home lookup (Defer). A token-carrying one has left its holder, or
+	// the network, so during that window its tokens are visible neither
+	// to any holder nor to the network auditor. Mid-run conservation
+	// audits iterate this list to account for them (see Nodes).
+	parked []*parkTask
 }
+
+// Shared implements Node for every protocol node embedding a Base.
+func (b *Base) Shared() *Base { return b }
 
 // FreeList is the shared recycling discipline for pooled per-node
 // values (MSHRs, deferred home/timer/replay/send tasks): Get pops a
@@ -205,11 +250,11 @@ func (b *Base) ResetBase() {
 	b.St = Stats{}
 	b.Observer = nil
 	b.avgRTT = 100
-	for i, t := range b.pending {
+	for i, t := range b.parked {
 		t.m = nil
-		b.pending[i] = nil
+		b.parked[i] = nil
 	}
-	b.pending = b.pending[:0]
+	b.parked = b.parked[:0]
 }
 
 // replayTask re-issues an access that queued behind an outstanding miss
@@ -240,57 +285,66 @@ func (b *Base) Replay(d event.Time, addr msg.Addr, isWrite bool, done func()) {
 	b.Env.Eng.AfterTask(d, t)
 }
 
-// sendTask sends a prepared message when its delay elapses: the pooled
-// replacement for After(d, func(){ Send(m) }) closures on home paths
-// (directory and DRAM latencies).
-type sendTask struct {
-	b   *Base
-	m   *msg.Message
-	due event.Time
-	pos int // index in b.pending, maintained by swap-removal
+// parkTask holds a message across a latency: the pooled replacement
+// for After(d, func(){ ... m ... }) closures on home paths. A delayed
+// send (directory and DRAM latencies) goes out on the network when it
+// fires; a deferred delivery is handed to Deferred and released.
+type parkTask struct {
+	b        *Base
+	m        *msg.Message
+	pos      int  // index in b.parked, maintained by swap-removal
+	received bool // a delivered message held by Defer, not a send
 }
 
 // Fire implements event.Task.
-func (t *sendTask) Fire(event.Time) {
-	b, m := t.b, t.m
+func (t *parkTask) Fire(now event.Time) {
+	b, m, received := t.b, t.m, t.received
 	t.m = nil
-	b.unpend(t)
-	b.sendFree.Put(t)
-	b.Send(m)
+	b.unpark(t)
+	b.parkFree.Put(t)
+	if !received {
+		b.Send(m)
+		return
+	}
+	defer b.Env.Net.Release(m)
+	b.Deferred(now, m)
+}
+
+// park holds m for d cycles on a pooled task recorded in b.parked.
+func (b *Base) park(d event.Time, m *msg.Message, received bool) {
+	t := b.parkFree.Get()
+	t.b, t.m, t.received = b, m, received
+	t.pos = len(b.parked)
+	b.parked = append(b.parked, t)
+	b.Env.Eng.AfterTask(d, t)
 }
 
 // SendAfter sends m (stamping the source at fire time, like Send) after
 // d cycles, without allocating in steady state. The caller's reference
 // to a pooled m is consumed when the send fires.
-func (b *Base) SendAfter(d event.Time, m *msg.Message) {
-	t := b.sendFree.Get()
-	t.b = b
-	t.m = m
-	t.due = b.Env.Eng.Now() + d
-	t.pos = len(b.pending)
-	b.pending = append(b.pending, t)
-	b.Env.Eng.AfterTask(d, t)
+func (b *Base) SendAfter(d event.Time, m *msg.Message) { b.park(d, m, false) }
+
+// Defer holds a delivered message for d cycles (the home's directory
+// lookup), then hands it to Deferred and releases it. Deferred must copy
+// anything it keeps past its own return.
+func (b *Base) Defer(d event.Time, m *msg.Message) {
+	b.Env.Net.Retain(m)
+	b.park(d, m, true)
 }
 
-// unpend removes a fired sendTask from the pending list in O(1).
-func (b *Base) unpend(t *sendTask) {
-	last := len(b.pending) - 1
-	moved := b.pending[last]
-	b.pending[t.pos] = moved
+// unpark removes a fired parkTask from the parked list in O(1).
+func (b *Base) unpark(t *parkTask) {
+	last := len(b.parked) - 1
+	moved := b.parked[last]
+	b.parked[t.pos] = moved
 	moved.pos = t.pos
-	b.pending[last] = nil
-	b.pending = b.pending[:last]
+	b.parked[last] = nil
+	b.parked = b.parked[:last]
 }
 
-// PendingSends invokes fn for every delayed send that has not yet been
-// handed to the network, with its scheduled send time. Iteration order
-// is arbitrary but deterministic (insertion order perturbed by
-// swap-removal). Callers must not retain or mutate the message.
-func (b *Base) PendingSends(fn func(due event.Time, m *msg.Message)) {
-	for _, t := range b.pending {
-		fn(t.due, t.m)
-	}
-}
+// NumParked returns how many messages the node holds across a latency
+// (delayed sends and deferred deliveries).
+func (b *Base) NumParked() int { return len(b.parked) }
 
 // ResetStats clears the performance counters (after cache warmup) while
 // preserving cache contents, predictor state and the RTT estimate.

@@ -143,7 +143,12 @@ func (n *Node) freeMSHR(m *mshr) {
 	n.mshrFree.Put(m)
 }
 
-// Memory exposes the home token store for conservation checks.
+// Directory implements protocol.Node: TokenB's home slice is its token
+// store.
+func (n *Node) Directory() *directory.Directory { return n.mem }
+
+// Memory exposes the home token store; it is Directory under the name
+// external benchmark code uses.
 func (n *Node) Memory() *directory.Directory { return n.mem }
 
 // AppendMSHRDiags appends one record per outstanding miss, sorted by

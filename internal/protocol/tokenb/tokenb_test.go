@@ -45,9 +45,9 @@ func (c *cluster) checkConservation(t *testing.T) {
 	t.Helper()
 	var holders []token.Holder
 	for _, n := range c.nodes {
-		holders = append(holders, n.L2, n.Memory())
+		holders = append(holders, n.L2, n.Directory())
 	}
-	if err := token.CheckConservation(c.env.Tokens, holders, nil); err != nil {
+	if err := new(token.Conservation).Check(c.env.Tokens, holders...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -288,9 +288,9 @@ func TestEvictionReturnsTokensToMemory(t *testing.T) {
 	}
 	var holders []token.Holder
 	for _, n := range nodes {
-		holders = append(holders, n.L2, n.Memory())
+		holders = append(holders, n.L2, n.Directory())
 	}
-	if err := token.CheckConservation(4, holders, nil); err != nil {
+	if err := new(token.Conservation).Check(4, holders...); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,15 +2,10 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
-	"patch/internal/addrmap"
-	"patch/internal/core"
 	"patch/internal/directory"
 	"patch/internal/event"
-	"patch/internal/msg"
-	"patch/internal/protocol/directoryproto"
-	"patch/internal/protocol/tokenb"
+	"patch/internal/protocol"
 )
 
 // auditTask re-verifies mid-run invariants every Config.AuditEvery
@@ -50,8 +45,8 @@ func (s *System) auditNow() error {
 		if err := s.auditor.Err(); err != nil {
 			return s.failRun(FailAudit, err.Error())
 		}
-		if err := s.auditConservation(); err != nil {
-			return err
+		if err := s.checkConservation(); err != nil {
+			return s.failRun(FailAudit, err.Error())
 		}
 	}
 	if err := s.auditQueueDepths(); err != nil {
@@ -63,48 +58,15 @@ func (s *System) auditNow() error {
 	return nil
 }
 
-// auditConservation verifies Rule #1 mid-run: for every touched block,
-// tokens held by caches and homes, plus tokens on the wire (auditor),
-// plus tokens parked in delayed home sends (PendingSends — deducted
-// from their holder at message build time, invisible everywhere else
-// until the DRAM latency elapses) must sum to exactly Env.Tokens.
-func (s *System) auditConservation() error {
-	sums := new(addrmap.Map[int])
-	held := func(a msg.Addr, count int, _ bool) { *sums.Ptr(a) += count }
-	parked := func(_ event.Time, m *msg.Message) {
-		if m.Tokens != 0 {
-			*sums.Ptr(m.Addr) += m.Tokens
-		}
+// checkConservation verifies Rule #1 over every place a token can be:
+// each node's L2, home slice and parked messages, plus the tokens on the
+// wire. Only the auditor sees the wire, so without it (checks disabled)
+// the result holds only at quiescence, when nothing is in flight.
+func (s *System) checkConservation() error {
+	if s.auditor == nil {
+		return s.conservation.Check(s.Env.Tokens, protocol.Nodes(s.Nodes))
 	}
-	for _, n := range s.Nodes {
-		switch v := n.(type) {
-		case *core.Node:
-			v.Cache().TokenHoldings(held)
-			v.Directory().TokenHoldings(held)
-			v.PendingSends(parked)
-		case *tokenb.Node:
-			v.L2.TokenHoldings(held)
-			v.Memory().TokenHoldings(held)
-			v.PendingSends(parked)
-		}
-	}
-	s.auditor.InFlightByBlock(func(a msg.Addr, count, _ int) { *sums.Ptr(a) += count })
-	var bad []msg.Addr
-	sums.ForEach(func(a msg.Addr, p *int) {
-		if *p != s.Env.Tokens {
-			bad = append(bad, a)
-		}
-	})
-	if len(bad) == 0 {
-		return nil
-	}
-	// Report the smallest violating address so the error is independent
-	// of accumulation order.
-	sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
-	got, _ := sums.Get(bad[0])
-	return s.failRun(FailAudit, fmt.Sprintf(
-		"token conservation violated at %#x: %d tokens visible, want %d (%d blocks violate)",
-		uint64(bad[0]), got, s.Env.Tokens, len(bad)))
+	return s.conservation.Check(s.Env.Tokens, protocol.Nodes(s.Nodes), s.auditor)
 }
 
 // auditQueueDepths bounds the home request queues: every core can have
@@ -125,14 +87,7 @@ func (s *System) auditQueueDepths() error {
 		})
 	}
 	for i, n := range s.Nodes {
-		switch v := n.(type) {
-		case *directoryproto.Node:
-			check(i, v.Directory())
-		case *core.Node:
-			check(i, v.Directory())
-		case *tokenb.Node:
-			check(i, v.Memory())
-		}
+		check(i, n.Directory())
 		if err != nil {
 			return err
 		}

@@ -5,13 +5,9 @@ import (
 	"sort"
 	"strings"
 
-	"patch/internal/core"
 	"patch/internal/directory"
-	"patch/internal/event"
 	"patch/internal/msg"
 	"patch/internal/protocol"
-	"patch/internal/protocol/directoryproto"
-	"patch/internal/protocol/tokenb"
 )
 
 // FailKind classifies a RunError.
@@ -45,7 +41,7 @@ func (k FailKind) String() string {
 type NodeDiag struct {
 	Node         int
 	MSHRs        int // outstanding misses
-	PendingSends int // delayed home/DRAM sends not yet on the wire
+	PendingSends int // parked messages: delayed home/DRAM sends and home lookups
 	HeldTokens   int // tokens held across the node's cache + home slice
 	DirBusy      int // home entries mid-transaction
 	DirQueued    int // requests queued behind busy home entries
@@ -77,7 +73,7 @@ type Diagnostics struct {
 // summary renders the one-line forensic digest appended to Error().
 func (d *Diagnostics) summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d mshrs, %d delayed sends, %d tokens in flight on %d blocks, %d events queued",
+	fmt.Fprintf(&b, "%d mshrs, %d parked messages, %d tokens in flight on %d blocks, %d events queued",
 		d.OutstandingMSHRs, d.PendingSends, d.InFlightTokens, d.InFlightBlocks, d.Queued)
 	if len(d.OldestMisses) > 0 {
 		m := d.OldestMisses[0]
@@ -98,7 +94,7 @@ func (d *Diagnostics) Dump() string {
 	fmt.Fprintf(&b, "cycle %d: %d/%d cores finished, %d events queued (%d fired), %s\n",
 		d.Cycles, d.Finished, d.Cores, d.Queued, d.Fired, d.summary())
 	for _, n := range d.Nodes {
-		fmt.Fprintf(&b, "  node %d: %d mshrs, %d delayed sends, %d tokens held, dir %d busy / %d queued (max %d)\n",
+		fmt.Fprintf(&b, "  node %d: %d mshrs, %d parked messages, %d tokens held, dir %d busy / %d queued (max %d)\n",
 			n.Node, n.MSHRs, n.PendingSends, n.HeldTokens, n.DirBusy, n.DirQueued, n.DirMaxQueue)
 	}
 	for _, m := range d.OldestMisses {
@@ -173,24 +169,11 @@ func (s *System) diagnose() Diagnostics {
 		nd := NodeDiag{Node: i}
 		start := len(misses)
 		countTok := func(_ msg.Addr, count int, _ bool) { nd.HeldTokens += count }
-		switch v := n.(type) {
-		case *directoryproto.Node:
-			misses = v.AppendMSHRDiags(misses)
-			dirDiag(v.Directory(), &nd)
-			v.PendingSends(func(event.Time, *msg.Message) { nd.PendingSends++ })
-		case *core.Node:
-			misses = v.AppendMSHRDiags(misses)
-			v.Cache().TokenHoldings(countTok)
-			v.Directory().TokenHoldings(countTok)
-			dirDiag(v.Directory(), &nd)
-			v.PendingSends(func(event.Time, *msg.Message) { nd.PendingSends++ })
-		case *tokenb.Node:
-			misses = v.AppendMSHRDiags(misses)
-			v.L2.TokenHoldings(countTok)
-			v.Memory().TokenHoldings(countTok)
-			dirDiag(v.Memory(), &nd)
-			v.PendingSends(func(event.Time, *msg.Message) { nd.PendingSends++ })
-		}
+		misses = n.AppendMSHRDiags(misses)
+		n.Shared().L2.TokenHoldings(countTok)
+		n.Directory().TokenHoldings(countTok)
+		dirDiag(n.Directory(), &nd)
+		nd.PendingSends = n.Shared().NumParked()
 		nd.MSHRs = len(misses) - start
 		d.PendingSends += nd.PendingSends
 		if nd.MSHRs > 0 || nd.PendingSends > 0 || nd.DirBusy > 0 || nd.DirQueued > 0 {

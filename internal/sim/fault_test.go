@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"patch/internal/cache"
-	"patch/internal/core"
+	"patch/internal/directory"
+	"patch/internal/event"
 	"patch/internal/fault"
+	"patch/internal/msg"
 	"patch/internal/predictor"
 )
 
@@ -189,10 +191,12 @@ func TestWatchdogReturnsTypedDiagnostics(t *testing.T) {
 	}
 }
 
-// TestAuditDetectsTokenTheft proves the mid-run conservation audit has
-// teeth: destroy one token in a cache mid-run and the next audit pass
-// must fail with a FailAudit RunError naming the violation.
-func TestAuditDetectsTokenTheft(t *testing.T) {
+// auditMustCatch runs PATCH-All (16 cores, micro, seed 5, audit every
+// 200 cycles) for 50k events, applies tamper to the live system, and
+// requires a following mid-run audit pass to fail with a FailAudit
+// RunError whose message contains want.
+func auditMustCatch(t *testing.T, tamper func(t *testing.T, s *System), want string) {
+	t.Helper()
 	cfg := Config{Protocol: PATCH, Policy: predictor.All, BestEffort: true,
 		Cores: 16, OpsPerCore: 20_000, Seed: 5, Workload: "micro", AuditEvery: 200}
 	sys, err := NewSystem(cfg)
@@ -201,37 +205,18 @@ func TestAuditDetectsTokenTheft(t *testing.T) {
 	}
 	defer sys.Close()
 	sys.start()
-	// Let the system reach steady state, then steal one token from a
-	// cache line holding several (leaving its owner bit alone, so the
-	// damage is invisible to the line's own MOESI view — only global
-	// conservation can see it).
 	sys.Eng.Run(50_000)
 	if sys.auditErr != nil {
 		t.Fatalf("audit tripped before tampering: %v", sys.auditErr)
 	}
-	var victim *cache.Line
-	for _, n := range sys.Nodes {
-		pn := n.(*core.Node)
-		pn.Cache().ForEach(func(l *cache.Line) {
-			if victim == nil && l.Tok.Count > 1 {
-				victim = l
-			}
-		})
-		if victim != nil {
-			break
-		}
-	}
-	if victim == nil {
-		t.Fatal("no cache line holding multiple tokens after 50k events")
-	}
-	victim.Tok.Count--
+	tamper(t, sys)
 	for i := 0; i < 100 && sys.auditErr == nil; i++ {
 		if sys.Eng.Run(10_000) == 0 {
 			break
 		}
 	}
 	if sys.auditErr == nil {
-		t.Fatal("audit never detected the stolen token")
+		t.Fatal("audit never detected the tampering")
 	}
 	var re *RunError
 	if !errors.As(sys.auditErr, &re) {
@@ -240,7 +225,91 @@ func TestAuditDetectsTokenTheft(t *testing.T) {
 	if re.Kind != FailAudit {
 		t.Fatalf("Kind = %v, want FailAudit", re.Kind)
 	}
-	if !strings.Contains(re.Error(), "token conservation violated") {
-		t.Fatalf("audit error does not name the violation: %v", re)
+	if !strings.Contains(re.Error(), want) {
+		t.Fatalf("audit error does not name the violation (%q): %v", want, re)
+	}
+}
+
+// TestAuditDetectsTokenTheft proves the mid-run conservation audit has
+// teeth: destroy one token in a cache line holding several (leaving its
+// owner bit alone, so the damage is invisible to the line's own MOESI
+// view — only global conservation can see it).
+func TestAuditDetectsTokenTheft(t *testing.T) {
+	auditMustCatch(t, func(t *testing.T, s *System) {
+		var victim *cache.Line
+		for _, n := range s.Nodes {
+			n.Shared().L2.ForEach(func(l *cache.Line) {
+				if victim == nil && l.Tok.Count > 1 {
+					victim = l
+				}
+			})
+			if victim != nil {
+				break
+			}
+		}
+		if victim == nil {
+			t.Fatal("no cache line holding multiple tokens after 50k events")
+		}
+		victim.Tok.Count--
+	}, "token conservation violated")
+}
+
+// TestAuditDetectsForgedHomeOwner forges an owner token on a home entry
+// whose owner token is elsewhere, with every count unchanged. Only the
+// owner arm of the conservation check can see it: the token sums still
+// balance and the single-writer check reads caches only.
+func TestAuditDetectsForgedHomeOwner(t *testing.T) {
+	auditMustCatch(t, func(t *testing.T, s *System) {
+		var victim *directory.Entry
+		for _, n := range s.Nodes {
+			n.Directory().ForEach(func(e *directory.Entry) {
+				if victim == nil && !e.Tok.Owner && !e.Busy {
+					victim = e
+				}
+			})
+			if victim != nil {
+				break
+			}
+		}
+		if victim == nil {
+			t.Fatal("no idle home entry without the owner token after 50k events")
+		}
+		victim.Tok.Owner = true
+	}, "2 owner tokens")
+}
+
+// TestAuditCountsHomeLookupTokens audits the instant after each of the
+// first token-carrying writebacks and tenure returns reaches its home:
+// the message has left the network but waits out the directory lookup
+// before its tokens join the home, so the audit must count it as parked
+// at the home node. No violation may be reported.
+func TestAuditCountsHomeLookupTokens(t *testing.T) {
+	cfg := Config{Protocol: PATCH, Policy: predictor.All, BestEffort: true,
+		Cores: 16, OpsPerCore: 3000, Seed: 5, Workload: "micro"}
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	deliver := sys.Net.OnDeliver
+	probes := 0
+	sys.Net.OnDeliver = func(now event.Time, m *msg.Message) {
+		deliver(now, m)
+		home := m.Type == msg.PutM || m.Type == msg.PutClean || m.Type == msg.TokenReturn
+		if !home || (m.Tokens == 0 && !m.Owner) || probes == 50 {
+			return
+		}
+		probes++
+		sys.Eng.After(1, func(event.Time) {
+			if err := sys.auditNow(); err != nil && sys.auditErr == nil {
+				sys.auditErr = err
+			}
+		})
+	}
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if probes < 20 {
+		t.Fatalf("only %d token-carrying home messages; the test is not exercising the lookup window", probes)
 	}
 }

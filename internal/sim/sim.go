@@ -140,7 +140,7 @@ type Config struct {
 
 	// AuditEvery, when non-zero and checks are enabled, runs the mid-run
 	// invariant audit (token conservation including in-flight and
-	// delayed-send tokens, single-writer, home queue-depth bounds) every
+	// parked tokens, single-writer, home queue-depth bounds) every
 	// AuditEvery cycles. Fault-injected runs default it on; it is
 	// verification-only and, like SkipChecks, not part of a config's
 	// identity.
@@ -245,6 +245,10 @@ type System struct {
 	// messages surface immediately).
 	auditor *trace.Auditor
 
+	// conservation is the Rule #1 checker the audit and the end-of-run
+	// check share, arena-reused like the rest of the checking state.
+	conservation token.Conservation
+
 	// orderViolation records the first per-core coherence-order violation
 	// seen by the online observer (a core reading an older write version
 	// than one it already observed for the block). lastSeen and obsFns
@@ -313,6 +317,33 @@ func (s *System) Reset(cfg Config) error {
 	if cfg.Protocol != s.Cfg.Protocol || cfg.Cores != s.Cfg.Cores {
 		return ErrIncompatibleReset
 	}
+	return s.setup(cfg)
+}
+
+// NewSystem builds (but does not run) a system.
+func NewSystem(cfg Config) (*System, error) {
+	cfg = cfg.withDefaults()
+	eng := &event.Engine{}
+	net := interconnect.New(eng, cfg.Cores, cfg.Net)
+	s := &System{Eng: eng, Net: net, Env: protocol.DefaultEnv(eng, net, cfg.Cores),
+		Nodes: make([]protocol.Node, cfg.Cores)}
+	if err := s.setup(cfg); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// setup is the one path NewSystem and Reset share to ready the System
+// for a run under cfg. It validates the directory encoding and opens the
+// workload before touching anything, so either failing leaves the System
+// as it was. BuildNode's only failure, an unknown protocol, comes after
+// the rewind; it can reach only NewSystem, which discards the System,
+// because Reset rejects a protocol change. setup then rewinds the
+// engine and network (no-ops on fresh ones), zeroes the run counters,
+// builds each node or resets the one already there, and builds or
+// clears in place the checking state (store-count table, token auditor
+// and the network hooks feeding it).
+func (s *System) setup(cfg Config) error {
 	enc := directory.Encoding{Cores: cfg.Cores, Coarseness: cfg.Coarseness}
 	if err := enc.Validate(); err != nil {
 		return err
@@ -332,8 +363,7 @@ func (s *System) Reset(cfg Config) error {
 		gen, closer = replay, replay
 	} else {
 		var err error
-		gen, err = workload.Named(cfg.Workload, cfg.Cores, cfg.Seed)
-		if err != nil {
+		if gen, err = workload.Named(cfg.Workload, cfg.Cores, cfg.Seed); err != nil {
 			return err
 		}
 	}
@@ -348,118 +378,81 @@ func (s *System) Reset(cfg Config) error {
 	s.startedAt, s.doneAt = 0, 0
 	s.orderViolation = nil
 	s.auditErr = nil
-	if cfg.SkipChecks {
-		s.storeCounts, s.auditor = nil, nil
-	} else {
-		// The checking state is itself arena-reused: the store-count
-		// table and auditor keep their grown capacity across runs.
-		if s.storeCounts == nil {
-			s.storeCounts = new(addrmap.Map[uint64])
-		} else {
-			s.storeCounts.Clear()
+	for i, old := range s.Nodes {
+		id := msg.NodeID(i)
+		n, err := BuildNode(old, id, s.Env, enc, cfg)
+		if err != nil {
+			s.Close()
+			return err
 		}
-		if cfg.Protocol == PATCH || cfg.Protocol == TokenB {
-			if s.auditor == nil {
-				s.auditor = trace.NewAuditor(s.Env.Tokens)
-			} else {
-				s.auditor.Reset(s.Env.Tokens)
-			}
-			s.Net.OnSend = func(_ event.Time, m *msg.Message) { s.auditor.Sent(m) }
-			s.Net.OnDeliver = func(_ event.Time, m *msg.Message) { s.auditor.Delivered(m) }
-		} else {
-			s.auditor = nil
-		}
-	}
-	for i := range s.Nodes {
-		switch v := s.Nodes[i].(type) {
-		case *directoryproto.Node:
-			v.Reset(enc)
-		case *core.Node:
-			v.Reset(enc, core.Config{
-				Policy: cfg.Policy, BestEffort: cfg.BestEffort,
-				TenureTimeoutFactor: cfg.TenureTimeoutFactor,
-				NoDeactWindow:       cfg.NoDeactWindow,
-			})
-		case *tokenb.Node:
-			v.Reset()
+		if old == nil {
+			s.Nodes[i] = n
+			s.Net.Register(id, n.Handle)
 		}
 		if !cfg.SkipChecks {
 			s.attachOrderChecker(i)
 		}
+	}
+	if cfg.SkipChecks {
+		s.storeCounts, s.auditor = nil, nil
+		return nil
+	}
+	// The checking state is itself arena-reused: the store-count table
+	// and auditor keep their grown capacity across runs.
+	if s.storeCounts == nil {
+		s.storeCounts = new(addrmap.Map[uint64])
+	} else {
+		s.storeCounts.Clear()
+	}
+	if s.countsTokens() {
+		if s.auditor == nil {
+			s.auditor = trace.NewAuditor(s.Env.Tokens)
+		} else {
+			s.auditor.Reset(s.Env.Tokens)
+		}
+		s.Net.OnSend = func(_ event.Time, m *msg.Message) { s.auditor.Sent(m) }
+		s.Net.OnDeliver = func(_ event.Time, m *msg.Message) { s.auditor.Delivered(m) }
 	}
 	return nil
 }
 
-// NewSystem builds (but does not run) a system.
-func NewSystem(cfg Config) (*System, error) {
-	cfg = cfg.withDefaults()
-	var gen workload.Generator
-	var closer io.Closer
-	var err error
-	if cfg.TraceFile != "" {
-		replay, rerr := workload.OpenTrace(cfg.TraceFile, cfg.Cores)
-		if rerr != nil {
-			return nil, rerr
-		}
-		if total := replay.Len(); cfg.WarmupOps+cfg.OpsPerCore > total {
-			replay.Close()
-			return nil, fmt.Errorf("sim: trace has %d ops/core, need %d warmup + %d measured",
-				total, cfg.WarmupOps, cfg.OpsPerCore)
-		}
-		gen, closer = replay, replay
-	} else {
-		gen, err = workload.Named(cfg.Workload, cfg.Cores, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-	}
-	fail := func(err error) (*System, error) {
-		if closer != nil {
-			closer.Close()
-		}
-		return nil, err
-	}
-	eng := &event.Engine{}
-	net := interconnect.New(eng, cfg.Cores, cfg.Net)
-	env := protocol.DefaultEnv(eng, net, cfg.Cores)
-	enc := directory.Encoding{Cores: cfg.Cores, Coarseness: cfg.Coarseness}
-	if err := enc.Validate(); err != nil {
-		return fail(err)
-	}
+// countsTokens reports whether the system runs a token protocol: one
+// whose home slices hold tokens (PATCH and TokenB; not DIRECTORY).
+func (s *System) countsTokens() bool { return s.Nodes[0].Directory().Tokens > 0 }
 
-	s := &System{Cfg: cfg, Eng: eng, Net: net, Env: env, Gen: gen, closer: closer}
-	if !cfg.SkipChecks {
-		s.storeCounts = new(addrmap.Map[uint64])
-		if cfg.Protocol == PATCH || cfg.Protocol == TokenB {
-			s.auditor = trace.NewAuditor(env.Tokens)
-			net.OnSend = func(_ event.Time, m *msg.Message) { s.auditor.Sent(m) }
-			net.OnDeliver = func(_ event.Time, m *msg.Message) { s.auditor.Delivered(m) }
+// BuildNode is the only code in sim, and in the litmus harness that
+// uses it, that names a protocol package. It builds core id's
+// controller for cfg.Protocol on env, or, given reuse (nil or a node it
+// built earlier for the same protocol on the same env), resets reuse in
+// place to the state a fresh build would have, keeping its arenas.
+// Adding a protocol is a Kind and one case here.
+func BuildNode(reuse protocol.Node, id msg.NodeID, env *protocol.Env, enc directory.Encoding, cfg Config) (protocol.Node, error) {
+	switch cfg.Protocol {
+	case Directory:
+		if n, ok := reuse.(*directoryproto.Node); ok {
+			n.Reset(enc)
+			return n, nil
 		}
+		return directoryproto.New(id, env, enc), nil
+	case PATCH:
+		pc := core.Config{
+			Policy: cfg.Policy, BestEffort: cfg.BestEffort,
+			TenureTimeoutFactor: cfg.TenureTimeoutFactor,
+			NoDeactWindow:       cfg.NoDeactWindow,
+		}
+		if n, ok := reuse.(*core.Node); ok {
+			n.Reset(enc, pc)
+			return n, nil
+		}
+		return core.New(id, env, enc, pc), nil
+	case TokenB:
+		if n, ok := reuse.(*tokenb.Node); ok {
+			n.Reset()
+			return n, nil
+		}
+		return tokenb.New(id, env), nil
 	}
-	s.Nodes = make([]protocol.Node, cfg.Cores)
-	for i := 0; i < cfg.Cores; i++ {
-		id := msg.NodeID(i)
-		switch cfg.Protocol {
-		case Directory:
-			s.Nodes[i] = directoryproto.New(id, env, enc)
-		case PATCH:
-			s.Nodes[i] = core.New(id, env, enc, core.Config{
-				Policy: cfg.Policy, BestEffort: cfg.BestEffort,
-				TenureTimeoutFactor: cfg.TenureTimeoutFactor,
-				NoDeactWindow:       cfg.NoDeactWindow,
-			})
-		case TokenB:
-			s.Nodes[i] = tokenb.New(id, env)
-		default:
-			return fail(fmt.Errorf("sim: unknown protocol %v", cfg.Protocol))
-		}
-		n := s.Nodes[i]
-		if !cfg.SkipChecks {
-			s.attachOrderChecker(i)
-		}
-		net.Register(id, n.Handle)
-	}
-	return s, nil
+	return nil, fmt.Errorf("sim: unknown protocol %v", cfg.Protocol)
 }
 
 // attachOrderChecker installs an online per-core coherence-order
@@ -488,15 +481,7 @@ func (s *System) attachOrderChecker(i int) {
 	} else {
 		s.lastSeen[i].Clear()
 	}
-	obs := s.obsFns[i]
-	switch v := s.Nodes[i].(type) {
-	case *directoryproto.Node:
-		v.Observer = obs
-	case *core.Node:
-		v.Observer = obs
-	case *tokenb.Node:
-		v.Observer = obs
-	}
+	s.Nodes[i].Shared().Observer = s.obsFns[i]
 }
 
 // issuer drives one core's operation loop. It doubles as the think-time
@@ -593,22 +578,11 @@ func (s *System) beginMeasurement() {
 	s.warming = false
 	s.Net.Stats = interconnect.LinkStats{}
 	for _, n := range s.Nodes {
-		resetNodeStats(n)
+		n.Shared().ResetStats()
 	}
 	s.startedAt = s.Eng.Now()
 	for c := range s.issuers {
 		s.issuers[c].start(false, s.Cfg.OpsPerCore)
-	}
-}
-
-func resetNodeStats(n protocol.Node) {
-	switch v := n.(type) {
-	case *directoryproto.Node:
-		v.ResetStats()
-	case *core.Node:
-		v.ResetStats()
-	case *tokenb.Node:
-		v.ResetStats()
 	}
 }
 
@@ -672,7 +646,7 @@ func (s *System) collect() *Result {
 	r.LinkBytes = ns.LinkBytes
 	r.Dropped = ns.Dropped
 	for _, n := range s.Nodes {
-		st := nodeStats(n)
+		st := n.Shared().St
 		r.Misses += st.Misses
 		addStats(&r.Stats, st)
 	}
@@ -681,18 +655,6 @@ func (s *System) collect() *Result {
 		r.AvgMissLatency = float64(r.Stats.MissLatencySum) / float64(r.Misses)
 	}
 	return r
-}
-
-func nodeStats(n protocol.Node) protocol.Stats {
-	switch v := n.(type) {
-	case *directoryproto.Node:
-		return v.St
-	case *core.Node:
-		return v.St
-	case *tokenb.Node:
-		return v.St
-	}
-	return protocol.Stats{}
 }
 
 func addStats(dst *protocol.Stats, src protocol.Stats) {
@@ -716,36 +678,20 @@ func addStats(dst *protocol.Stats, src protocol.Stats) {
 }
 
 // CheckInvariants verifies end-of-run correctness: every controller
-// quiesced, token conservation (Rule #1) for token-based protocols, and
-// the single-writer/many-readers invariant over final cache states.
+// quiesced, token conservation (Rule #1) for token-based protocols, a
+// clean token flow when checks are enabled (the auditor watches the
+// network), and the single-writer/many-readers invariant over final
+// cache states.
 func (s *System) CheckInvariants() error {
 	for i, n := range s.Nodes {
 		if !n.Quiesced() {
 			return fmt.Errorf("sim: node %d not quiesced at end of run", i)
 		}
 	}
-	switch s.Cfg.Protocol {
-	case PATCH:
-		var holders []token.Holder
-		for _, n := range s.Nodes {
-			pn := n.(*core.Node)
-			holders = append(holders, pn.Cache(), pn.Directory())
-		}
-		if err := token.CheckConservation(s.Env.Tokens, holders, nil); err != nil {
+	if s.countsTokens() {
+		if err := s.checkConservation(); err != nil {
 			return err
 		}
-	case TokenB:
-		var holders []token.Holder
-		for _, n := range s.Nodes {
-			tn := n.(*tokenb.Node)
-			holders = append(holders, tn.L2, tn.Memory())
-		}
-		if err := token.CheckConservation(s.Env.Tokens, holders, nil); err != nil {
-			return err
-		}
-	}
-	if err := s.checkSingleWriter(); err != nil {
-		return err
 	}
 	if s.auditor != nil {
 		if err := s.auditor.Err(); err != nil {
@@ -754,6 +700,9 @@ func (s *System) CheckInvariants() error {
 		if !s.auditor.QuiescentOK() {
 			return fmt.Errorf("sim: tokens still in flight at quiescence (lost message?)")
 		}
+	}
+	if err := s.checkSingleWriter(); err != nil {
+		return err
 	}
 	if s.orderViolation != nil {
 		return s.orderViolation
@@ -777,24 +726,8 @@ func (s *System) checkWriteSerialization() error {
 		}
 	}
 	for _, n := range s.Nodes {
-		var c *cache.Cache
-		switch v := n.(type) {
-		case *directoryproto.Node:
-			c = v.L2
-		case *core.Node:
-			c = v.L2
-		case *tokenb.Node:
-			c = v.L2
-		}
-		c.ForEach(func(l *cache.Line) { consider(l.Addr, l.Version) })
-		switch v := n.(type) {
-		case *directoryproto.Node:
-			v.Directory().ForEach(func(e *directory.Entry) { consider(e.Addr, e.MemVersion) })
-		case *core.Node:
-			v.Directory().ForEach(func(e *directory.Entry) { consider(e.Addr, e.MemVersion) })
-		case *tokenb.Node:
-			v.Memory().ForEach(func(e *directory.Entry) { consider(e.Addr, e.MemVersion) })
-		}
+		n.Shared().L2.ForEach(func(l *cache.Line) { consider(l.Addr, l.Version) })
+		n.Directory().ForEach(func(e *directory.Entry) { consider(e.Addr, e.MemVersion) })
 	}
 	var serErr error
 	s.storeCounts.ForEach(func(a msg.Addr, want *uint64) {
@@ -817,19 +750,11 @@ func (s *System) checkSingleWriter() error {
 		owners  int
 	}
 	views := make(map[msg.Addr]*blockView)
+	tokens := s.countsTokens()
 	for _, n := range s.Nodes {
-		var c *cache.Cache
-		switch v := n.(type) {
-		case *directoryproto.Node:
-			c = v.L2
-		case *core.Node:
-			c = v.L2
-		case *tokenb.Node:
-			c = v.L2
-		}
-		c.ForEach(func(l *cache.Line) {
+		n.Shared().L2.ForEach(func(l *cache.Line) {
 			st := l.MOESI
-			if s.Cfg.Protocol != Directory {
+			if tokens {
 				st = l.Tok.ToMOESI(s.Env.Tokens)
 			}
 			if st == token.I {

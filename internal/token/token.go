@@ -7,6 +7,7 @@ package token
 import (
 	"fmt"
 
+	"patch/internal/addrmap"
 	"patch/internal/msg"
 )
 
@@ -156,50 +157,61 @@ func Attach(m *msg.Message, tokens int, owner, dirty, withData bool) {
 	m.HasData = withData
 }
 
-// Holder is any component that can report its token holdings for
-// conservation checking.
+// Holder is any place tokens can be (a cache, a home, the network,
+// messages parked at a node) that reports its holdings for conservation
+// checking.
 type Holder interface {
 	// TokenHoldings invokes fn for every block with a non-zero holding.
 	TokenHoldings(fn func(addr msg.Addr, count int, owner bool))
 }
 
-// CheckConservation verifies Rule #1 across a set of holders plus
-// in-flight counts: for every block, tokens sum to exactly total and
-// exactly one owner token exists. Blocks never touched are assumed to sit
-// entirely at their home and are exempt when absent everywhere.
-// It returns an error describing the first violation found.
-func CheckConservation(total int, holders []Holder, inflight map[msg.Addr]State) error {
-	type sum struct {
-		count  int
-		owners int
-	}
-	sums := make(map[msg.Addr]*sum)
+// Conservation is the token-conservation (Rule #1) checker. The zero
+// value is ready to use. A reused Conservation keeps its per-block table
+// across checks, so a simulator that checks after every run, or every
+// few thousand cycles, stops allocating once the table has grown.
+type Conservation struct {
+	sums addrmap.Map[tally]
+}
+
+type tally struct{ count, owners int }
+
+// Check verifies Rule #1 across holders that together cover every place
+// a token can be: for every block some holder reports, the tokens sum to
+// exactly total and exactly one owner token exists. Blocks no holder
+// reports are untouched, all tokens at their home, and exempt. Of
+// several violating blocks it reports the one with the smallest
+// address, so the error does not depend on holder or iteration order.
+func (c *Conservation) Check(total int, holders ...Holder) error {
+	c.sums.Clear()
 	add := func(addr msg.Addr, count int, owner bool) {
-		s := sums[addr]
-		if s == nil {
-			s = &sum{}
-			sums[addr] = s
-		}
-		s.count += count
+		t := c.sums.Ptr(addr)
+		t.count += count
 		if owner {
-			s.owners++
+			t.owners++
 		}
 	}
 	for _, h := range holders {
 		h.TokenHoldings(add)
 	}
-	for addr, st := range inflight {
-		if !st.Zero() {
-			add(addr, st.Count, st.Owner)
+	bad, first := 0, msg.Addr(0)
+	var got tally
+	c.sums.ForEach(func(addr msg.Addr, t *tally) {
+		if t.count == total && t.owners == 1 {
+			return
 		}
+		if bad == 0 || addr < first {
+			first, got = addr, *t
+		}
+		bad++
+	})
+	switch {
+	case bad == 0:
+		return nil
+	case got.count != total:
+		return fmt.Errorf("token conservation violated at %#x: %d tokens, want %d (%d blocks violate)",
+			uint64(first), got.count, total, bad)
+	default:
+		return fmt.Errorf("token conservation violated at %#x: %d owner tokens, want 1 (%d blocks violate)",
+			uint64(first), got.owners, bad)
 	}
-	for addr, s := range sums {
-		if s.count != total {
-			return fmt.Errorf("token: conservation violated at %#x: %d tokens, want %d", uint64(addr), s.count, total)
-		}
-		if s.owners != 1 {
-			return fmt.Errorf("token: %d owner tokens at %#x, want 1", s.owners, uint64(addr))
-		}
-	}
-	return nil
 }

@@ -155,13 +155,17 @@ func (a *Auditor) InFlight(addr msg.Addr) (count, owners int) {
 	return t.count, t.owners
 }
 
-// InFlightByBlock invokes add for every block with tokens currently in
-// flight. Iteration order is unspecified; callers accumulate into
-// order-independent sums (the simulator's mid-run conservation audit
-// folds these into an insertion-ordered addrmap).
-func (a *Auditor) InFlightByBlock(add func(addr msg.Addr, count, owners int)) {
+// TokenHoldings implements token.Holder over the tokens in flight: one
+// call per block, plus an owner-only call for each duplicated owner
+// token, so a conservation check counts every owner on the wire.
+// Iteration order is unspecified; the checker's result does not depend
+// on it.
+func (a *Auditor) TokenHoldings(fn func(addr msg.Addr, count int, owner bool)) {
 	for addr, t := range a.inflight {
-		add(addr, t.count, t.owners)
+		fn(addr, t.count, t.owners > 0)
+		for o := 1; o < t.owners; o++ {
+			fn(addr, 0, true)
+		}
 	}
 }
 
