@@ -38,6 +38,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
@@ -80,7 +81,7 @@ func main() {
 
 	local := flag.Bool("local", false, "local mode: run -matrix in-process and print to stdout")
 	matrixFile := flag.String("matrix", "", "local mode: matrix JSON file (\"-\": stdin)")
-	format := flag.String("format", "csv", "local mode: output format: csv, json, markdown, chart")
+	format := flag.String("format", "csv", "local mode: output format: "+strings.Join(service.Formats(), ", "))
 	flag.Parse()
 	sc.token = *token
 
@@ -131,7 +132,7 @@ func serve(ctx context.Context, sc serveConfig) error {
 	} else if restored > 0 {
 		log.Printf("sweepd: restored %d persisted jobs from %s", restored, sc.dataDir)
 	}
-	hs := &http.Server{Addr: sc.listen, Handler: srv}
+	hs := newHTTPServer(sc.listen, srv)
 
 	errc := make(chan error, 1)
 	go func() {
@@ -156,6 +157,26 @@ func serve(ctx context.Context, sc serveConfig) error {
 	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer scancel()
 	return hs.Shutdown(sctx)
+}
+
+// Connection timeouts for the serve mode's listener. A client must
+// finish its request headers within readHeaderTimeout and an idle
+// keep-alive connection is closed after idleTimeout, so a slow or
+// silent client cannot pin connections. Bodies and responses are not
+// timed: result posts can be large, and NDJSON progress streams and
+// result downloads are long-lived.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func cacheOrMem(dir string) string {
@@ -195,19 +216,10 @@ func runLocal(ctx context.Context, matrixFile, format string, workers int) error
 	if err := dec.Decode(&m); err != nil {
 		return fmt.Errorf("bad matrix: %w", err)
 	}
-	var e patch.Emitter
-	switch format {
-	case "csv":
-		e = &patch.CSVEmitter{W: os.Stdout}
-	case "json":
-		e = &patch.JSONEmitter{W: os.Stdout}
-	case "markdown":
-		e = &patch.MarkdownEmitter{W: os.Stdout}
-	case "chart":
-		e = &patch.ChartEmitter{W: os.Stdout}
-	default:
-		return fmt.Errorf("unknown format %q", format)
+	e, err := service.NewEmitter(format, os.Stdout)
+	if err != nil {
+		return err
 	}
-	_, err := patch.Sweep(ctx, m, patch.Workers(workers), patch.EmitTo(e))
+	_, err = patch.Sweep(ctx, m, patch.Workers(workers), patch.EmitTo(e))
 	return err
 }

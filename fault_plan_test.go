@@ -100,13 +100,13 @@ func TestMatrixFaultsAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumCells() != 4 {
-		t.Fatalf("NumCells = %d, want 4", p.NumCells())
+	if len(p.p.cells) != 4 {
+		t.Fatalf("NumCells = %d, want 4", len(p.p.cells))
 	}
 	wantFault := []bool{false, false, true, true}
 	wantProto := []Protocol{Directory, TokenB, Directory, TokenB}
 	for i := 0; i < 4; i++ {
-		cfg := p.CellConfig(i)
+		cfg := p.p.cells[i].cfg
 		if (cfg.FaultPlan != nil) != wantFault[i] || cfg.Protocol != wantProto[i] {
 			t.Errorf("cell %d: fault=%v protocol=%v, want fault=%v protocol=%v",
 				i, cfg.FaultPlan != nil, cfg.Protocol, wantFault[i], wantProto[i])
@@ -118,7 +118,7 @@ func TestMatrixFaultsAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.CellConfig(0).FaultPlan == nil {
+	if p2.p.cells[0].cfg.FaultPlan == nil {
 		t.Error("empty Faults axis dropped the base plan")
 	}
 }

@@ -2,7 +2,7 @@ package analysis
 
 // Repository package paths the contracts bind to. The root package is
 // "patch" (the module path); determinism applies to its sweep engine
-// file only — options/emitters run host-side where the wall clock is
+// files only — options/emitters run host-side where the wall clock is
 // legitimate.
 const (
 	modulePath      = "patch"
@@ -42,9 +42,10 @@ func PatchSuite() []*Analyzer {
 					pkgToken,
 				},
 				Files: map[string][]string{
-					// Of the root package, only the sweep engine feeds
-					// simulation results; options/emitters are host-side.
-					modulePath: {"sweep.go"},
+					// Of the root package, only the sweep engine and its
+					// replica queue feed simulation results;
+					// options/emitters are host-side.
+					modulePath: {"sweep.go", "queue.go"},
 				},
 			},
 		}),

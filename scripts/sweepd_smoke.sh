@@ -8,7 +8,8 @@
 #   1. auth      — without the bearer token, mutating endpoints 401;
 #                  reads and health stay open.
 #   2. cold/warm — submit the same matrix twice; cold simulates, warm
-#                  is all cache hits, both byte-identical to -local.
+#                  is all cache hits, both byte-identical to -local;
+#                  the warm job is compared in every output format.
 #   3. crash     — submit a remote-only job, let a real worker post a
 #                  few replicas, kill -9 the daemon AND the worker
 #                  mid-job, restart on the same -data-dir, and require
@@ -144,9 +145,16 @@ total=$(echo "$status" | grep -o '"total":[0-9]*' | cut -d: -f2)
 echo "$status" | grep -q "\"cache_hits\":$total[,}]" || {
   echo "smoke: warm run should have $total cache hits: $status" >&2; exit 1
 }
-cmp "$workdir/local.csv" "$workdir/warm.csv" || {
-  echo "smoke: served CSV (warm) differs from local sweep" >&2; exit 1
-}
+# Every output format of the warm job must equal sweepd -local with the
+# same -format: both build their emitter from one format table.
+warm_id=$(echo "$status" | grep -o '"id":"[^"]*"' | head -n1 | cut -d'"' -f4)
+for format in csv json markdown chart; do
+  "$workdir/sweepd" -local -matrix "$workdir/matrix.json" -format "$format" > "$workdir/local.$format"
+  curl -fsS "$base/jobs/$warm_id/result?format=$format" > "$workdir/warm.$format"
+  cmp "$workdir/local.$format" "$workdir/warm.$format" || {
+    echo "smoke: served $format (warm) differs from sweepd -local -format $format" >&2; exit 1
+  }
+done
 
 # ---- Phase 3: kill -9 mid-job, restart, resume ---------------------
 crash_id=$(curl -fsS -X POST -H 'Content-Type: application/json' "${auth[@]}" \
@@ -257,4 +265,4 @@ kill -TERM "$server_pid"
 wait "$server_pid"
 server_pid=""
 
-echo "sweepd smoke: OK (auth + cold + warm + kill-9 resume byte-identical + worker retry, clean drain)"
+echo "sweepd smoke: OK (auth + cold + warm in every format + kill-9 resume byte-identical + worker retry, clean drain)"

@@ -1,56 +1,34 @@
 package service
 
 import (
+	"fmt"
 	"io"
 	"sort"
-	"sync"
+	"strings"
 
 	"patch"
 )
 
-// Output formats for GET /jobs/{id}/result?format=<name>. Each format
-// is an Emitter constructor: the server replays the finished job's
-// cells through a fresh emitter per download, so the bytes served are
-// exactly what a local Sweep with that emitter would have produced.
+// Output formats, shared by GET /jobs/{id}/result?format=<name> and
+// sweepd -local: each is an Emitter constructor. The server replays the
+// finished job's cells through a fresh emitter per download, so the
+// bytes served are exactly what a local Sweep with that emitter
+// produces.
 
 type formatEntry struct {
 	make        func(io.Writer) patch.Emitter
 	contentType string
 }
 
-var (
-	formatMu sync.RWMutex
-	formats  = map[string]formatEntry{
-		"csv":      {func(w io.Writer) patch.Emitter { return &patch.CSVEmitter{W: w} }, "text/csv; charset=utf-8"},
-		"json":     {func(w io.Writer) patch.Emitter { return &patch.JSONEmitter{W: w} }, "application/json"},
-		"markdown": {func(w io.Writer) patch.Emitter { return &patch.MarkdownEmitter{W: w} }, "text/markdown; charset=utf-8"},
-		"chart":    {func(w io.Writer) patch.Emitter { return &patch.ChartEmitter{W: w} }, "text/plain; charset=utf-8"},
-	}
-)
-
-// RegisterFormat adds a downloadable result format under name. Like
-// patch.RegisterAdjust it panics on empty/nil arguments or a duplicate
-// name: format names are API surface. contentType "" defaults to
-// text/plain.
-func RegisterFormat(name string, contentType string, make func(io.Writer) patch.Emitter) {
-	if name == "" || make == nil {
-		panic("service: RegisterFormat needs a name and a constructor")
-	}
-	if contentType == "" {
-		contentType = "text/plain; charset=utf-8"
-	}
-	formatMu.Lock()
-	defer formatMu.Unlock()
-	if _, dup := formats[name]; dup {
-		panic("service: RegisterFormat called twice for " + name)
-	}
-	formats[name] = formatEntry{make, contentType}
+var formats = map[string]formatEntry{
+	"csv":      {func(w io.Writer) patch.Emitter { return &patch.CSVEmitter{W: w} }, "text/csv; charset=utf-8"},
+	"json":     {func(w io.Writer) patch.Emitter { return &patch.JSONEmitter{W: w} }, "application/json"},
+	"markdown": {func(w io.Writer) patch.Emitter { return &patch.MarkdownEmitter{W: w} }, "text/markdown; charset=utf-8"},
+	"chart":    {func(w io.Writer) patch.Emitter { return &patch.ChartEmitter{W: w} }, "text/plain; charset=utf-8"},
 }
 
-// Formats lists the registered format names, sorted.
+// Formats lists the output format names, sorted.
 func Formats() []string {
-	formatMu.RLock()
-	defer formatMu.RUnlock()
 	names := make([]string, 0, len(formats))
 	for n := range formats {
 		names = append(names, n)
@@ -59,9 +37,16 @@ func Formats() []string {
 	return names
 }
 
-func lookupFormat(name string) (formatEntry, bool) {
-	formatMu.RLock()
-	defer formatMu.RUnlock()
-	e, ok := formats[name]
-	return e, ok
+// NewEmitter returns a fresh emitter for the named output format,
+// writing to w.
+func NewEmitter(format string, w io.Writer) (patch.Emitter, error) {
+	f, ok := formats[format]
+	if !ok {
+		return nil, unknownFormat(format)
+	}
+	return f.make(w), nil
+}
+
+func unknownFormat(name string) error {
+	return fmt.Errorf("unknown format %q (have: %s)", name, strings.Join(Formats(), ", "))
 }

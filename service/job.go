@@ -2,10 +2,7 @@ package service
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"sync"
-	"time"
 
 	"patch"
 )
@@ -97,27 +94,14 @@ type ReplicaResult struct {
 	Result *patch.Result `json:"result"`
 }
 
-// claimState tracks one replica's scheduling. A replica is runnable
-// when it is not done and either unclaimed or past its lease deadline
-// (a remote worker that claimed it is presumed dead; the determinism
-// contract makes re-execution harmless — a late duplicate result is
-// byte-identical and dropped by idempotent completion).
-type claimState struct {
-	claimed  bool
-	deadline time.Time // zero: held until completion (local workers)
-}
-
-func (c claimState) expired(now time.Time) bool {
-	return c.claimed && !c.deadline.IsZero() && now.After(c.deadline)
-}
-
-// job is one submitted sweep: the expanded plan, the claim table, the
-// position-indexed result slots, and the progress fan-out.
+// job is one submitted sweep: its replica queue (shared by the local
+// pool and remote claims) plus what only the service adds — the state
+// machine, journaling, cache-hit accounting, and the progress fan-out.
 type job struct {
 	id        string
 	principal string
 	spec      JobSpec
-	plan      *patch.ReplicaPlan
+	queue     *patch.ReplicaQueue
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -133,44 +117,36 @@ type job struct {
 	mu        sync.Mutex
 	state     State
 	err       error
-	claims    []claimState
-	results   []*patch.Result
-	done      int
-	cellDone  []int
-	summaries []*patch.Summary
 	cacheHits int
 	subs      map[chan ProgressEvent]struct{}
 	finished  chan struct{}
 }
 
 func newJob(id string, spec JobSpec) (*job, error) {
-	plan, err := spec.Matrix.Plan()
+	q, err := patch.NewReplicaQueue(spec.Matrix)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &job{
-		id:        id,
-		spec:      spec,
-		plan:      plan,
-		ctx:       ctx,
-		cancel:    cancel,
-		state:     StateQueued,
-		claims:    make([]claimState, plan.NumReplicas()),
-		results:   make([]*patch.Result, plan.NumReplicas()),
-		cellDone:  make([]int, plan.NumCells()),
-		summaries: make([]*patch.Summary, plan.NumCells()),
-		subs:      make(map[chan ProgressEvent]struct{}),
-		finished:  make(chan struct{}),
+		id:       id,
+		spec:     spec,
+		queue:    q,
+		ctx:      ctx,
+		cancel:   cancel,
+		state:    StateQueued,
+		subs:     make(map[chan ProgressEvent]struct{}),
+		finished: make(chan struct{}),
 	}, nil
 }
 
 func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	c := j.queue.Counts()
 	st := JobStatus{
 		ID: j.id, Principal: j.principal, State: j.state,
-		Done: j.done, Total: j.plan.NumReplicas(), Cells: j.plan.NumCells(),
+		Done: c.Done, Total: c.Total, Cells: c.Cells,
 		CacheHits: j.cacheHits,
 	}
 	if j.err != nil {
@@ -179,119 +155,57 @@ func (j *job) status() JobStatus {
 	return st
 }
 
-// claim hands out up to max runnable replicas, leasing each until
-// now+lease (lease 0: until completion). Returns nil when nothing is
-// claimable right now — which does not mean the job is finished:
-// everything may simply be claimed or done.
-func (j *job) claim(max int, lease time.Duration, now time.Time) []ReplicaClaim {
+// whileRunning calls f with mu held if the job is running: remote
+// claims and heartbeats only touch a running job's queue.
+func (j *job) whileRunning(f func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateRunning || max <= 0 {
-		return nil
+	if j.state == StateRunning {
+		f()
 	}
-	deadline := time.Time{}
-	if lease > 0 {
-		deadline = now.Add(lease)
-	}
-	var out []ReplicaClaim
-	for i := range j.claims {
-		if len(out) >= max {
-			break
-		}
-		if j.results[i] != nil || (j.claims[i].claimed && !j.claims[i].expired(now)) {
-			continue
-		}
-		j.claims[i] = claimState{claimed: true, deadline: deadline}
-		out = append(out, ReplicaClaim{Index: i, Config: j.plan.ReplicaConfig(i)})
-	}
-	return out
 }
 
-// complete records replica i's result. Idempotent: duplicate
-// completions (an expired lease raced its original worker) are
-// dropped — determinism guarantees the duplicate was byte-identical
-// anyway. Returns false when the result was dropped (duplicate, out of
-// range, or the job already left the running state).
-func (j *job) complete(i int, r *patch.Result, fromCache bool) bool {
+// accept records replica i's result in the queue and, if the queue
+// takes it, journals it, fans out its progress event and, on the last
+// replica, finishes the job. It reports false when the result was
+// dropped: a duplicate, out of range, or the job is not running.
+func (j *job) accept(i int, r *patch.Result, fromCache bool) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateRunning || i < 0 || i >= len(j.results) || j.results[i] != nil || r == nil {
+	if j.state != StateRunning {
 		return false
 	}
-	j.results[i] = r
-	j.done++
+	p, ok := j.queue.Complete(i, r)
+	if !ok {
+		return false
+	}
 	if fromCache {
 		j.cacheHits++
 	}
 	if j.persist != nil {
 		j.persist(i, r)
 	}
-	cell := j.plan.ReplicaCell(i)
-	j.cellDone[cell]++
-	if j.cellDone[cell] == j.plan.SeedsPerCell() {
-		first := cell * j.plan.SeedsPerCell()
-		j.summaries[cell] = patch.Summarize(j.results[first : first+j.plan.SeedsPerCell()])
-	}
-	j.broadcast(ProgressEvent{Progress: patch.Progress{
-		Done: j.done, Total: len(j.results),
-		Cell: cell, Cells: j.plan.NumCells(),
-		CellDone: j.cellDone[cell], CellTotal: j.plan.SeedsPerCell(),
-		Label: j.plan.CellLabel(cell), Seed: j.plan.ReplicaConfig(i).Seed,
-	}})
-	if j.done == len(j.results) {
+	j.broadcast(ProgressEvent{Progress: p})
+	if p.Done == p.Total {
 		j.finishLocked(StateDone, nil)
 	}
 	return true
 }
 
-// heartbeat extends the lease of each still-claimed, still-incomplete
-// index to now+lease, returning how many were extended. Local claims
-// (zero deadline: held until completion) need no extension and get
-// none; indices whose lease already expired are extended anyway if no
-// one has re-claimed them — the original worker is evidently alive.
-func (j *job) heartbeat(indices []int, lease time.Duration, now time.Time) int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateRunning || lease <= 0 {
-		return 0
-	}
-	extended := 0
-	for _, i := range indices {
-		if i < 0 || i >= len(j.claims) || j.results[i] != nil {
-			continue
-		}
-		c := &j.claims[i]
-		if !c.claimed || c.deadline.IsZero() {
-			continue
-		}
-		c.deadline = now.Add(lease)
-		extended++
-	}
-	return extended
-}
-
 // restore replays journaled results into a freshly rebuilt job (server
-// restart). The job is temporarily moved to running so complete()
-// accepts the replay — which rebuilds done counts, per-cell summaries,
-// and, if every replica was journaled, the done terminal state — then
-// returned to queued if unfinished. Runs before the job is visible to
-// any other goroutine, and with persist unset (the records being
-// replayed are already on disk).
+// restart), rebuilding its done counts, per-cell summaries and, if
+// every replica was journaled, the done terminal state. Runs before the
+// job is visible to any other goroutine, so nothing is journaled again
+// or fanned out.
 func (j *job) restore(results []ReplicaResult) {
-	j.mu.Lock()
-	j.state = StateRunning
-	j.mu.Unlock()
 	for _, rr := range results {
-		if rr.Result == nil || rr.Index < 0 || rr.Index >= j.plan.NumReplicas() {
-			continue
-		}
-		j.complete(rr.Index, rr.Result, false)
+		j.queue.Complete(rr.Index, rr.Result)
 	}
-	j.mu.Lock()
-	if !j.state.Finished() {
-		j.state = StateQueued
+	if c := j.queue.Counts(); c.Done == c.Total {
+		j.mu.Lock()
+		j.finishLocked(StateDone, nil)
+		j.mu.Unlock()
 	}
-	j.mu.Unlock()
 }
 
 // fail moves the job to failed on the first replica error and cancels
@@ -330,7 +244,8 @@ func (j *job) finishLocked(s State, err error) {
 		}
 		j.persistTerminal(s, msg)
 	}
-	ev := ProgressEvent{Progress: patch.Progress{Done: j.done, Total: len(j.results)}, State: s}
+	c := j.queue.Counts()
+	ev := ProgressEvent{Progress: patch.Progress{Done: c.Done, Total: c.Total}, State: s}
 	if err != nil {
 		ev.Error = err.Error()
 	}
@@ -362,11 +277,9 @@ func (j *job) broadcast(ev ProgressEvent) {
 func (j *job) subscribe() (ch chan ProgressEvent, unsubscribe func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	ch = make(chan ProgressEvent, len(j.results)+2)
-	snapshot := ProgressEvent{
-		Progress: patch.Progress{Done: j.done, Total: len(j.results), Cells: j.plan.NumCells()},
-		State:    j.state,
-	}
+	c := j.queue.Counts()
+	ch = make(chan ProgressEvent, c.Total+2)
+	snapshot := ProgressEvent{Progress: c, State: j.state}
 	if j.err != nil {
 		snapshot.Error = j.err.Error()
 	}
@@ -387,93 +300,12 @@ func (j *job) subscribe() (ch chan ProgressEvent, unsubscribe func()) {
 // before any simulation is scheduled — the warm-cache fast path. With
 // a fully warm cache the job finishes here without touching a worker.
 func (j *job) prefill(cache *ResultCache) {
-	n := j.plan.NumReplicas()
-	for i := 0; i < n; i++ {
-		j.mu.Lock()
-		st := j.state
-		taken := j.results[i] != nil
-		j.mu.Unlock()
-		if st != StateRunning {
-			return
-		}
-		if taken {
+	for i := 0; i < j.queue.NumReplicas() && j.ctx.Err() == nil; i++ {
+		if j.queue.Completed(i) {
 			continue
 		}
-		if r, ok := cache.Get(j.plan.ReplicaConfig(i).Fingerprint()); ok {
-			j.complete(i, r, true)
+		if r, ok := cache.Get(j.queue.ReplicaConfig(i).Fingerprint()); ok {
+			j.accept(i, r, true)
 		}
 	}
-}
-
-// runLocal drives the job with the server's local worker pool: each
-// worker holds one reuse-aware patch.Runner and claims replicas (held,
-// no lease) until none are claimable. It returns when local work is
-// exhausted; outstanding remote claims may still be in flight.
-func (j *job) runLocal(cache *ResultCache, workers int) {
-	j.mu.Lock()
-	remaining := len(j.results) - j.done
-	j.mu.Unlock()
-	if workers > remaining {
-		workers = remaining
-	}
-	if workers <= 0 {
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runner := patch.NewRunner()
-			defer runner.Close()
-			for j.ctx.Err() == nil {
-				claims := j.claim(1, 0, time.Now())
-				if len(claims) == 0 {
-					return
-				}
-				c := claims[0]
-				key := c.Config.Fingerprint()
-				r, err := runner.RunReplica(c.Config)
-				if err != nil {
-					j.fail(fmt.Errorf("service: job %s: %s seed %d: %w",
-						j.id, j.plan.CellLabel(j.plan.ReplicaCell(c.Index)), c.Config.Seed, err))
-					return
-				}
-				cache.Put(key, r)
-				j.complete(c.Index, r, false)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// render replays the finished job through a fresh emitter, in matrix
-// cell order — byte-identical to running the same Matrix through
-// patch.Sweep with the same emitter locally.
-func (j *job) render(w io.Writer, mk func(io.Writer) patch.Emitter) error {
-	j.mu.Lock()
-	if j.state != StateDone {
-		st := j.state
-		j.mu.Unlock()
-		return fmt.Errorf("service: job %s is %s, not done", j.id, st)
-	}
-	summaries := j.summaries
-	j.mu.Unlock()
-
-	e := mk(w)
-	if err := e.Begin(j.plan.NumCells()); err != nil {
-		return err
-	}
-	for i := 0; i < j.plan.NumCells(); i++ {
-		cr := patch.CellResult{
-			Index:   i,
-			Label:   j.plan.CellLabel(i),
-			Config:  j.plan.CellConfig(i),
-			Summary: summaries[i],
-		}
-		if err := e.Cell(cr); err != nil {
-			return err
-		}
-	}
-	return e.End()
 }

@@ -333,7 +333,14 @@ func (s *Server) runJob(j *job) {
 		if workers <= 0 {
 			workers = s.cfg.Workers
 		}
-		j.runLocal(s.cache, workers)
+		err := j.queue.Drain(j.ctx, workers, nil, func(i int, r *patch.Result) error {
+			s.cache.Put(j.queue.ReplicaConfig(i).Fingerprint(), r)
+			j.accept(i, r, false)
+			return nil
+		})
+		if err != nil {
+			j.fail(fmt.Errorf("service: job %s: %w", j.id, err))
+		}
 	}
 	// Local work is exhausted (or skipped); remaining replicas belong
 	// to remote workers. finished closes on done/failed/cancelled.
@@ -540,19 +547,30 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = "csv"
 	}
-	f, ok := lookupFormat(name)
+	f, ok := formats[name]
 	if !ok {
-		httpError(w, http.StatusBadRequest, "unknown format %q (have: %s)",
-			name, strings.Join(Formats(), ", "))
+		httpError(w, http.StatusBadRequest, "%v", unknownFormat(name))
 		return
 	}
 	if st := j.status(); st.State != StateDone {
 		httpError(w, http.StatusConflict, "job is %s, not done", st.State)
 		return
 	}
+	// Replay the finished cells through a fresh emitter: byte-identical
+	// to a local Sweep of the same matrix with that emitter.
 	w.Header().Set("Content-Type", f.contentType)
 	w.WriteHeader(http.StatusOK)
-	_ = j.render(w, f.make)
+	cells := j.queue.Cells()
+	e := f.make(w)
+	if e.Begin(len(cells)) != nil {
+		return
+	}
+	for _, c := range cells {
+		if e.Cell(c) != nil {
+			return
+		}
+	}
+	_ = e.End()
 }
 
 // handleClaim hands a worker up to max replicas from the oldest
@@ -582,7 +600,13 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		if claims := j.claim(req.Max, s.cfg.Lease, now); len(claims) > 0 {
+		var claims []ReplicaClaim
+		j.whileRunning(func() {
+			for _, i := range j.queue.Claim(req.Max, s.cfg.Lease, now) {
+				claims = append(claims, ReplicaClaim{Index: i, Config: j.queue.ReplicaConfig(i)})
+			}
+		})
+		if len(claims) > 0 {
 			writeJSON(w, http.StatusOK, ClaimBatch{
 				Job: id, Replicas: claims,
 				LeaseMillis: s.cfg.Lease.Milliseconds(),
@@ -613,11 +637,11 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 	accepted := 0
 	for _, rr := range batch {
-		if rr.Result == nil || rr.Index < 0 || rr.Index >= j.plan.NumReplicas() {
+		if rr.Result == nil || rr.Index < 0 || rr.Index >= j.queue.NumReplicas() {
 			continue
 		}
-		s.cache.Put(j.plan.ReplicaConfig(rr.Index).Fingerprint(), rr.Result)
-		if j.complete(rr.Index, rr.Result, false) {
+		s.cache.Put(j.queue.ReplicaConfig(rr.Index).Fingerprint(), rr.Result)
+		if j.accept(rr.Index, rr.Result, false) {
 			accepted++
 		}
 	}
@@ -643,7 +667,8 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad heartbeat: %v", err)
 		return
 	}
-	extended := j.heartbeat(req.Indices, s.cfg.Lease, s.now())
+	extended := 0
+	j.whileRunning(func() { extended = j.queue.Heartbeat(req.Indices, s.cfg.Lease, s.now()) })
 	writeJSON(w, http.StatusOK, map[string]int{"extended": extended})
 }
 

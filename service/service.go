@@ -1,7 +1,7 @@
 // Package service turns the sweep engine into a long-lived experiment
 // farm: a sweep-as-a-service HTTP server that accepts serialized
 // patch.Matrix jobs, streams replica-granular progress, and serves
-// emitter output in any registered format.
+// emitter output in any of its output formats.
 //
 // The design cashes in the determinism contract the engine already
 // guarantees (a configuration's results are byte-identical wherever

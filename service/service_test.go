@@ -606,3 +606,63 @@ func TestBadRequests(t *testing.T) {
 		t.Errorf("unknown format: %v", err)
 	}
 }
+
+// TestProgressParityWithSweep: the local pool behind a sweepd job is
+// the same driver as Sweep, so a one-worker, cold-cache job streams
+// exactly the progress sequence a Workers(1) Sweep reports through
+// OnProgress (the stream's snapshot and terminal lines aside).
+func TestProgressParityWithSweep(t *testing.T) {
+	m := smokeMatrix()
+	var want []patch.Progress
+	if _, err := patch.Sweep(context.Background(), m, patch.Workers(1),
+		patch.OnProgress(func(p patch.Progress) { want = append(want, p) })); err != nil {
+		t.Fatal(err)
+	}
+
+	ts := httptest.NewServer(service.New(service.Config{MaxJobs: 1}))
+	defer ts.Close()
+	c := &service.Client{Base: ts.URL}
+	ctx := context.Background()
+	// A remote-only blocker holds the only slot, so the job under test
+	// stays queued until its stream is subscribed.
+	blocker, err := c.Submit(ctx, service.JobSpec{Matrix: m, RemoteOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Submit(ctx, service.JobSpec{Matrix: m, Workers: 1})
+	if err != nil || st.State != service.StateQueued {
+		t.Fatalf("submit: %+v, %v", st, err)
+	}
+	var events []service.ProgressEvent
+	subscribed := make(chan struct{})
+	streamDone := make(chan error, 1)
+	go func() {
+		streamDone <- c.Progress(ctx, st.ID, func(ev service.ProgressEvent) bool {
+			if len(events) == 0 {
+				close(subscribed)
+			}
+			events = append(events, ev)
+			return true
+		})
+	}()
+	<-subscribed
+	if err := c.Cancel(ctx, blocker.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-streamDone; err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != len(want)+2 || events[len(events)-1].State != service.StateDone {
+		t.Fatalf("got %d events, want snapshot + %d replicas + done: %+v", len(events), len(want), events)
+	}
+	var got []patch.Progress
+	for _, ev := range events[1 : len(events)-1] {
+		if ev.State != "" || ev.Error != "" {
+			t.Fatalf("replica event carries state: %+v", ev)
+		}
+		got = append(got, ev.Progress)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("served progress differs from Sweep's:\n got: %+v\nwant: %+v", got, want)
+	}
+}

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"patch/internal/sim"
 	"patch/internal/stats"
@@ -22,8 +19,8 @@ var ErrEmptyMatrix = errors.New("patch: matrix expands to no cells")
 
 // MaxReplicas bounds one matrix expansion (cells x seeds). Matrices
 // are wire input to the sweep service; without this bound a hostile
-// Seeds value would make expansion allocate the whole work-list before
-// any admission check could refuse it.
+// Seeds value would make a replica queue allocate a result slot per
+// replica before any admission check could refuse it.
 const MaxReplicas = 1 << 20
 
 // ErrTooManyReplicas reports a Matrix whose cells x seeds product
@@ -125,35 +122,29 @@ type cell struct {
 	label string
 }
 
-// A replica is the sweep scheduler's unit of work: one seeded run of
-// one cell, identified by its (cell index, seed offset) coordinates.
-// Flattening cells x seeds into replicas is what lets a single large
-// cell (say, one 512-core configuration x 10 seeds) spread across the
-// whole worker pool instead of serialising its runs on one worker.
-type replica struct {
-	cell int // index into plan.cells
-	seed int // 0-based seed offset within the cell
-}
-
-// A plan is a matrix expanded to its validated cells plus the
-// flattened replica work-list the worker pool consumes.
+// A plan is a matrix expanded to its validated cells. Its replicas —
+// the scheduler's unit of work, one seeded run of one cell — are
+// numbered cell-major: replica i is seed offset i%seeds of cell
+// i/seeds. Flattening cells x seeds into replicas is what lets a single
+// large cell (say, one 512-core configuration x 10 seeds) spread across
+// the whole worker pool instead of serialising its runs on one worker.
 type plan struct {
-	cells    []cell
-	replicas []replica
-	seeds    int // replicas per cell (>= 1)
+	cells []cell
+	seeds int // replicas per cell (>= 1)
 }
 
-// config derives one replica's fully expanded configuration: its
-// cell's, with the seed offset applied. Derived at claim time so the
-// work-list stays two ints per replica however wide the seed axis is.
-func (p *plan) config(r replica) Config {
-	cfg := p.cells[r.cell].cfg
-	cfg.Seed += int64(r.seed)
+func (p *plan) numReplicas() int { return len(p.cells) * p.seeds }
+
+// config derives replica i's fully expanded configuration: its cell's,
+// with the seed offset applied. Derived on demand so a plan costs
+// nothing per replica however wide the seed axis is.
+func (p *plan) config(i int) Config {
+	cfg := p.cells[i/p.seeds].cfg
+	cfg.Seed += int64(i % p.seeds)
 	return cfg
 }
 
-// expand produces the validated cross-product in deterministic order
-// and flattens it into the replica work-list.
+// expand produces the validated cross-product in deterministic order.
 func (m Matrix) expand() (*plan, error) {
 	adjust, filter, err := m.resolveTransforms()
 	if err != nil {
@@ -237,13 +228,7 @@ func (m Matrix) expand() (*plan, error) {
 		return nil, fmt.Errorf("%w: %d cells x %d seeds > %d",
 			ErrTooManyReplicas, len(cells), seeds, MaxReplicas)
 	}
-	replicas := make([]replica, 0, len(cells)*seeds)
-	for ci := range cells {
-		for s := 0; s < seeds; s++ {
-			replicas = append(replicas, replica{cell: ci, seed: s})
-		}
-	}
-	return &plan{cells: cells, replicas: replicas, seeds: seeds}, nil
+	return &plan{cells: cells, seeds: seeds}, nil
 }
 
 // NumCells returns how many cells the matrix expands to (0 on an
@@ -257,24 +242,20 @@ func (m Matrix) NumCells() int {
 }
 
 // NumReplicas returns how many simulations the matrix schedules —
-// cells x seeds, the length of the replica work-list (0 on an invalid
-// matrix).
+// cells x seeds (0 on an invalid matrix).
 func (m Matrix) NumReplicas() int {
 	p, err := m.expand()
 	if err != nil {
 		return 0
 	}
-	return len(p.replicas)
+	return p.numReplicas()
 }
 
 // A ReplicaPlan is a Matrix expanded into its validated cells and
-// flattened replica work-list, exported for external schedulers (the
-// sweep service): the scheduler owns which replica runs where and
-// when; the plan owns what each replica index means and how results
-// reduce back into cells. Replica indices are stable — they enumerate
-// the matrix expansion order — so a position-indexed reduce over them
-// reproduces Sweep's byte-identical output however the work was
-// distributed.
+// numbered replicas: what each replica index means, for callers that
+// schedule or inspect replicas themselves. Replica indices are stable —
+// they enumerate the matrix expansion order — which is what lets a
+// ReplicaQueue reduce results position-indexed.
 type ReplicaPlan struct {
 	p *plan
 }
@@ -292,32 +273,12 @@ func (m Matrix) Plan() (*ReplicaPlan, error) {
 	return &ReplicaPlan{p: p}, nil
 }
 
-// NumCells returns the plan's cell count.
-func (rp *ReplicaPlan) NumCells() int { return len(rp.p.cells) }
-
 // NumReplicas returns the plan's replica count (cells x seeds).
-func (rp *ReplicaPlan) NumReplicas() int { return len(rp.p.replicas) }
-
-// SeedsPerCell returns how many seeded replicas each cell aggregates.
-func (rp *ReplicaPlan) SeedsPerCell() int { return rp.p.seeds }
-
-// CellLabel returns cell i's protocol column label (ProtoVariant.Name).
-func (rp *ReplicaPlan) CellLabel(i int) string { return rp.p.cells[i].label }
-
-// CellConfig returns cell i's fully expanded configuration (Seed is
-// the cell's base seed).
-func (rp *ReplicaPlan) CellConfig(i int) Config { return rp.p.cells[i].cfg }
-
-// ReplicaCell returns the cell index replica i belongs to.
-func (rp *ReplicaPlan) ReplicaCell(i int) int { return rp.p.replicas[i].cell }
-
-// ReplicaSeed returns replica i's 0-based seed offset within its cell
-// — its position in the cell's position-indexed reduce.
-func (rp *ReplicaPlan) ReplicaSeed(i int) int { return rp.p.replicas[i].seed }
+func (rp *ReplicaPlan) NumReplicas() int { return rp.p.numReplicas() }
 
 // ReplicaConfig returns replica i's fully expanded configuration, seed
 // offset applied.
-func (rp *ReplicaPlan) ReplicaConfig(i int) Config { return rp.p.config(rp.p.replicas[i]) }
+func (rp *ReplicaPlan) ReplicaConfig(i int) Config { return rp.p.config(i) }
 
 // CellResult is one completed cell of a sweep.
 type CellResult struct {
@@ -360,12 +321,12 @@ type Progress struct {
 }
 
 // A Runner executes replica simulations on behalf of a scheduler. It
-// is the transport-agnostic seam between the work-list (which decides
-// what replica runs next) and execution (where the simulation actually
-// happens): Sweep's per-worker arena is the local implementation, and
-// the sweep service's remote workers drive the same interface from
-// another process over HTTP. A Runner is driven by one goroutine at a
-// time; Close releases whatever arenas it holds.
+// is the transport-agnostic seam between the ReplicaQueue (which
+// decides what replica runs next) and execution (where the simulation
+// actually happens): Sweep's per-worker arena is the local
+// implementation, and the sweep service's remote workers drive the
+// same interface from another process over HTTP. A Runner is driven
+// by one goroutine at a time; Close releases whatever arenas it holds.
 type Runner interface {
 	// RunReplica executes one fully expanded replica configuration.
 	RunReplica(cfg Config) (*Result, error)
@@ -416,35 +377,25 @@ func WithRunnerFactory(f func() Runner) SweepOption {
 	return func(o *sweepOptions) { o.newRunner = f }
 }
 
-// Sweep expands the matrix into a replica work-list — one entry per
-// (cell, seed) — and runs it on a worker pool. Replicas, not cells, are
-// the unit of scheduling, so a single large cell parallelises across
-// the pool exactly like many small ones. Results aggregate
-// deterministically: each replica is an independent simulation keyed by
-// (cell index, seed index) and the per-cell reduce is position-indexed,
-// so the same matrix produces bit-identical summaries at any worker
-// count and any completion order. The context cancels the sweep
-// between replicas (an individual simulation is not interruptible);
-// the first replica error cancels the remaining work and is returned.
+// Sweep runs the matrix's replicas — one per (cell, seed) — on a local
+// worker pool draining a ReplicaQueue. Replicas, not cells, are the unit
+// of scheduling, so a single large cell parallelises across the pool
+// exactly like many small ones. Results aggregate deterministically:
+// each replica is an independent simulation with a stable index and the
+// per-cell reduce is position-indexed, so the same matrix produces
+// bit-identical summaries at any worker count and any completion order.
+// Cells stream to the emitters in matrix order as they complete. The
+// context cancels the sweep between replicas (an individual simulation
+// is not interruptible); the first replica or emitter error cancels the
+// remaining work and is returned.
 func Sweep(ctx context.Context, m Matrix, opts ...SweepOption) (*SweepResult, error) {
 	var o sweepOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	p, err := m.expand()
+	q, err := NewReplicaQueue(m)
 	if err != nil {
 		return nil, err
-	}
-	if len(p.cells) == 0 {
-		return nil, ErrEmptyMatrix
-	}
-	total := len(p.replicas)
-	workers := o.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > total {
-		workers = total
 	}
 
 	// endAll finalises every emitter in emitters, keeping the first
@@ -459,113 +410,39 @@ func Sweep(ctx context.Context, m Matrix, opts ...SweepOption) (*SweepResult, er
 		return first
 	}
 	for i, e := range o.emitters {
-		if err := e.Begin(len(p.cells)); err != nil {
+		if err := e.Begin(q.Counts().Cells); err != nil {
 			_ = endAll(o.emitters[:i]) // close out the already-begun ones
 			return nil, err
 		}
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		mu        sync.Mutex
-		firstErr  error
-		done      int
-		results   = make([][]*Result, len(p.cells))
-		seedsDone = make([]int, len(p.cells))
-		summaries = make([]*Summary, len(p.cells))
-		nextEmit  int
-	)
-	for i := range results {
-		results[i] = make([]*Result, p.seeds)
-	}
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			cancel()
+	emitted := 0
+	err = q.Drain(ctx, o.workers, o.newRunner, func(i int, r *Result) error {
+		p, _ := q.Complete(i, r)
+		if o.progress != nil {
+			o.progress(p)
 		}
-	}
-	// finish summarises newly completed cells and streams them, in
-	// matrix order, to the emitters. Called with mu held. Once the
-	// sweep has failed, nothing further is emitted (in-flight workers
-	// still complete and re-enter here).
-	finish := func() {
-		for firstErr == nil && nextEmit < len(p.cells) && seedsDone[nextEmit] == p.seeds {
-			i := nextEmit
-			summaries[i] = Summarize(results[i])
+		cells := q.Cells()
+		for ; emitted < len(cells); emitted++ {
 			for _, e := range o.emitters {
-				if err := e.Cell(CellResult{Index: i, Label: p.cells[i].label, Config: p.cells[i].cfg, Summary: summaries[i]}); err != nil {
-					fail(err)
-					return
+				if err := e.Cell(cells[emitted]); err != nil {
+					return err
 				}
 			}
-			nextEmit++
 		}
+		return nil
+	})
+	if err == nil {
+		err = ctx.Err()
 	}
-
-	// The work-list is consumed through an atomic cursor: replicas are
-	// independent, so claiming the next index is the entire scheduling
-	// decision — no producer goroutine, no channel.
-	newRunner := o.newRunner
-	if newRunner == nil {
-		newRunner = NewRunner
+	// Emitter End errors are secondary to a sweep failure.
+	if endErr := endAll(o.emitters); err == nil {
+		err = endErr
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runner := newRunner()
-			defer runner.Close()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= total || ctx.Err() != nil {
-					return
-				}
-				rep := p.replicas[i]
-				cfg := p.config(rep)
-				r, err := runner.RunReplica(cfg)
-				mu.Lock()
-				if err != nil {
-					fail(fmt.Errorf("patch: %s seed %d: %w", p.cells[rep.cell].label, cfg.Seed, err))
-				} else {
-					results[rep.cell][rep.seed] = r
-					seedsDone[rep.cell]++
-					done++
-					if o.progress != nil {
-						o.progress(Progress{
-							Done: done, Total: total,
-							Cell: rep.cell, Cells: len(p.cells),
-							CellDone: seedsDone[rep.cell], CellTotal: p.seeds,
-							Label: p.cells[rep.cell].label, Seed: cfg.Seed,
-						})
-					}
-					finish()
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-
-	if firstErr != nil || ctx.Err() != nil {
-		// Emitter End errors are secondary to the sweep failure.
-		_ = endAll(o.emitters)
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		return nil, ctx.Err()
-	}
-	out := &SweepResult{Cells: make([]CellResult, len(p.cells)), Runs: total}
-	for i := range p.cells {
-		out.Cells[i] = CellResult{Index: i, Label: p.cells[i].label, Config: p.cells[i].cfg, Summary: summaries[i]}
-	}
-	if err := endAll(o.emitters); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return &SweepResult{Cells: q.Cells(), Runs: q.NumReplicas()}, nil
 }
 
 // sweepWorker is the local Runner: one worker's reusable simulation

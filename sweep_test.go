@@ -192,21 +192,19 @@ func TestMatrixExpansionOrderAndAxes(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells := p.cells
-	// The replica work-list flattens cells x seeds, each entry keyed
-	// back to its cell with the seed offset applied on derivation.
-	if len(p.replicas) != 48 || p.seeds != 3 {
-		t.Fatalf("replicas = %d, seeds = %d, want 48 and 3", len(p.replicas), p.seeds)
+	// Replicas number cells x seeds cell-major: replica i is seed offset
+	// i%3 of cell i/3, applied on derivation.
+	if p.numReplicas() != 48 || p.seeds != 3 {
+		t.Fatalf("replicas = %d, seeds = %d, want 48 and 3", p.numReplicas(), p.seeds)
 	}
-	for i, r := range p.replicas {
-		if r.cell != i/3 || r.seed != i%3 {
-			t.Fatalf("replica %d keyed (%d, %d), want (%d, %d)", i, r.cell, r.seed, i/3, i%3)
-		}
-		cfg := p.config(r)
-		if want := cells[r.cell].cfg.Seed + int64(r.seed); cfg.Seed != want {
+	for i := 0; i < p.numReplicas(); i++ {
+		cell := cells[i/3].cfg
+		cfg := p.config(i)
+		if want := cell.Seed + int64(i%3); cfg.Seed != want {
 			t.Fatalf("replica %d seed %d, want %d", i, cfg.Seed, want)
 		}
-		cfg.Seed = cells[r.cell].cfg.Seed
-		if cfg != cells[r.cell].cfg {
+		cfg.Seed = cell.Seed
+		if cfg != cell {
 			t.Fatalf("replica %d config diverges from its cell beyond the seed", i)
 		}
 	}

@@ -52,12 +52,12 @@ func FuzzMatrixJSON(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if plan.NumCells() != cells || plan.NumReplicas() != replicas {
+		if len(plan.p.cells) != cells || plan.NumReplicas() != replicas {
 			t.Fatalf("plan disagrees with matrix: %d/%d cells, %d/%d replicas",
-				plan.NumCells(), cells, plan.NumReplicas(), replicas)
+				len(plan.p.cells), cells, plan.NumReplicas(), replicas)
 		}
-		for i := 0; i < plan.NumCells(); i++ {
-			cfg := plan.CellConfig(i)
+		for i := 0; i < len(plan.p.cells); i++ {
+			cfg := plan.p.cells[i].cfg
 			// A planned cell passed expansion-time validation, so its
 			// fingerprint — the cache key the service trusts — must be
 			// derivable without panicking, twice over identically.

@@ -177,10 +177,10 @@ func TestRegisteredTransformsApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp.NumCells() != 1 {
-		t.Fatalf("filter kept %d cells, want 1", rp.NumCells())
+	if len(rp.p.cells) != 1 {
+		t.Fatalf("filter kept %d cells, want 1", len(rp.p.cells))
 	}
-	if cfg := rp.CellConfig(0); cfg.Workload != "micro" || cfg.OpsPerCore != 50 {
+	if cfg := rp.p.cells[0].cfg; cfg.Workload != "micro" || cfg.OpsPerCore != 50 {
 		t.Errorf("adjusted cell = %+v", cfg)
 	}
 }
